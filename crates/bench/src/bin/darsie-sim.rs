@@ -91,10 +91,9 @@
 //! plus the DARSIE-over-Base speedup. With `--json` the snapshot is also
 //! written to `BENCH_<date>.json` for CI to archive as an artifact. Each
 //! technique record carries its digest root — so silent behavioral drift
-//! (same speedup, different state) is visible between snapshots — and the
-//! digest layer's wall-time overhead is measured via interleaved
-//! digest-on/digest-off catalog sweeps, reported on stderr and in the run
-//! manifest.
+//! (same speedup, different state) is visible between snapshots. The
+//! digest layer's own host-time overhead is measured by `perfbench/`
+//! (`gpu-sim.digest_overhead_pct`), not here.
 //!
 //! The `replay-diff` subcommand is the first-divergence bisector of the
 //! determinism observatory: it runs each selected workload twice and
@@ -111,10 +110,10 @@
 //! generated from the `LintCode` enum itself so it can never go stale.
 
 use darsie::DarsieConfig;
-use darsie_bench::manifest::{json_header, RunManifest};
+use darsie_bench::manifest::{json_escape, json_header, RunManifest};
 use darsie_bench::replay::{replay_diff, RunSpec};
 use gpu_energy::EnergyModel;
-use gpu_sim::{DigestConfig, GpuConfig, Perturb, SchedulerPolicy, Technique, TracePhase};
+use gpu_sim::{GpuConfig, Perturb, SchedulerPolicy, Technique, TracePhase};
 use simt_compiler::LaunchPlan;
 use simt_verify::parallel_map;
 use simt_verify::perf::{MemPredKind, MemPrediction};
@@ -175,23 +174,6 @@ fn usage() -> ! {
            --no-validate            skip the CPU-reference check"
     );
     std::process::exit(2);
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Comma-separated catalog abbreviations for "unknown workload" errors.
@@ -353,19 +335,7 @@ fn verify_command(args: &[String]) {
             *by_code.entry(d.code.code()).or_insert(0) += 1;
         }
         if json {
-            let diags: Vec<String> = report
-                .items
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{{\"code\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-                        d.code,
-                        d.severity,
-                        d.pc.map_or_else(|| "null".to_string(), |pc| pc.to_string()),
-                        json_escape(&d.message)
-                    )
-                })
-                .collect();
+            let diags: Vec<String> = report.items.iter().map(diag_json).collect();
             records.push(format!(
                 "{{\"abbr\":\"{}\",\"kernel\":\"{}\",\"block\":[{},{},{}],\
                  \"diagnostics\":[{}],\"errors\":{},\"warnings\":{}}}",
@@ -481,19 +451,7 @@ fn certify_command(args: &[String]) {
             *by_code.entry(d.code.code()).or_insert(0) += 1;
         }
         if json {
-            let diags: Vec<String> = report
-                .items
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{{\"code\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-                        d.code,
-                        d.severity,
-                        d.pc.map_or_else(|| "null".to_string(), |pc| pc.to_string()),
-                        json_escape(&d.message)
-                    )
-                })
-                .collect();
+            let diags: Vec<String> = report.items.iter().map(diag_json).collect();
             let witness = cert.witness.map_or_else(
                 || "null".to_string(),
                 |wit| {
@@ -796,20 +754,7 @@ fn prove_command(args: &[String]) {
             *by_code.entry(d.code.code()).or_insert(0) += 1;
         }
         if json {
-            let diags: Vec<String> = p
-                .report
-                .items
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{{\"code\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-                        d.code,
-                        d.severity,
-                        d.pc.map_or_else(|| "null".to_string(), |pc| pc.to_string()),
-                        json_escape(&d.message)
-                    )
-                })
-                .collect();
+            let diags: Vec<String> = p.report.items.iter().map(diag_json).collect();
             let claims: Vec<String> = p
                 .claims
                 .iter()
@@ -1397,7 +1342,7 @@ fn profile_command(args: &[String]) {
     finish_run(&mut mf, manifest.as_deref(), i32::from(violations > 0));
 }
 
-/// Serializes one lint diagnostic the same way `verify --json` does.
+/// Serializes one lint diagnostic for the `--json` reports.
 fn diag_json(d: &simt_verify::Diagnostic) -> String {
     format!(
         "{{\"code\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
@@ -1580,7 +1525,6 @@ fn bench_command(args: &[String]) {
     let SubcommandArgs { json, selected, scale, manifest, .. } =
         parse_subcommand_args("bench", args);
     let cfg = GpuConfig::test_small();
-    let cfg_nodigest = GpuConfig { digest: DigestConfig::off(), ..GpuConfig::test_small() };
     let mut mf = RunManifest::new("bench", args);
     mf.set_config(&cfg);
 
@@ -1640,35 +1584,7 @@ fn bench_command(args: &[String]) {
             println!("bench {:8} {:12} speedup {speedup:.2}x", w.abbr, "darsie/base");
         }
     }
-    // Extra timing passes with and without the digest layer so the
-    // snapshot's stderr line (and the manifest) record how much the
-    // observatory itself costs. Individual test-scale runs are
-    // sub-millisecond and noise-dominated, so each sweep times the whole
-    // catalog under both techniques at once; the sweeps interleave
-    // on/off (so slow drift on a busy machine hits both sides equally)
-    // and each side keeps its min, the standard wall-time noise floor.
-    let sweep = |sweep_cfg: &GpuConfig| {
-        let t = std::time::Instant::now();
-        for w in &selected {
-            for technique in [Technique::Base, Technique::darsie()] {
-                let _ = w.run_unchecked(sweep_cfg, technique);
-            }
-        }
-        t.elapsed().as_secs_f64()
-    };
-    let (wall_digest, wall_nodigest) = mf.phase("bench:digest-overhead", || {
-        let mut on = f64::INFINITY;
-        let mut off = f64::INFINITY;
-        for _ in 0..5 {
-            on = on.min(sweep(&cfg));
-            off = off.min(sweep(&cfg_nodigest));
-        }
-        (on, off)
-    });
-    let overhead =
-        if wall_nodigest > 0.0 { 100.0 * (wall_digest / wall_nodigest - 1.0) } else { 0.0 };
     mf.count("workloads", selected.len() as u64);
-    mf.metric("digest_overhead_percent", overhead);
     if json {
         let date = utc_date();
         let doc = format!(
@@ -1684,12 +1600,8 @@ fn bench_command(args: &[String]) {
         }
         println!("{doc}");
         eprintln!("benchmark snapshot written to {path}");
-        eprintln!("digest overhead: {overhead:.2}% wall-time");
     } else {
-        println!(
-            "benchmarked {} workload(s), digest overhead {overhead:.2}% wall-time",
-            selected.len()
-        );
+        println!("benchmarked {} workload(s)", selected.len());
     }
     finish_run(&mut mf, manifest.as_deref(), 0);
 }
@@ -1817,9 +1729,8 @@ fn replay_diff_command(args: &[String]) {
     let mut divergent = 0usize;
     let mut records: Vec<String> = Vec::new();
     for w in &selected {
-        let r = mf.phase(&format!("replay:{}", w.abbr), || {
-            replay_diff(w, &spec_a, &spec_b, perturb.clone())
-        });
+        let r =
+            mf.phase(&format!("replay:{}", w.abbr), || replay_diff(w, &spec_a, &spec_b, perturb));
         mf.digest_root(&format!("{}/A", w.abbr), r.root_a);
         mf.digest_root(&format!("{}/B", w.abbr), r.root_b);
         if !r.identical {

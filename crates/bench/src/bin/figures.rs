@@ -4,11 +4,15 @@
 //! cargo run --release -p darsie-bench --bin figures -- all
 //! cargo run --release -p darsie-bench --bin figures -- fig8 fig11
 //! cargo run --release -p darsie-bench --bin figures -- --scale test fig2
+//! cargo run --release -p darsie-bench --bin figures -- --scale test --sms 2 ablations
 //! ```
+//!
+//! `all` prints every paper table and figure; the `ablations` design-choice
+//! sweep runs only when named.
 
 use darsie_bench::{
-    collect, eval_gpu, fig12_techniques, fig8_techniques, limit_study, render_fig1, render_fig2,
-    render_table1, render_table2, render_table3, Report,
+    collect, eval_gpu, fig12_techniques, fig8_techniques, limit_study, render_ablations,
+    render_fig1, render_fig2, render_table1, render_table2, render_table3, Report, ALL_ARTIFACTS,
 };
 use gpu_energy::{AreaEstimate, AreaParams};
 use gpu_sim::trace_redundancy;
@@ -20,7 +24,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: figures [--scale eval|test] [--sms N] <artifact>...\n\
          artifacts: fig1 fig2 fig3 fig6 fig8 fig9 fig10 fig11 fig12 \
-         table1 table2 table3 area all"
+         table1 table2 table3 area ablations all"
     );
     std::process::exit(2);
 }
@@ -50,13 +54,7 @@ fn main() {
         usage();
     }
     if artifacts.iter().any(|a| a == "all") {
-        artifacts = [
-            "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig6", "fig8", "fig9", "fig10",
-            "fig11", "fig12", "area",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        artifacts = ALL_ARTIFACTS.iter().map(|s| s.to_string()).collect();
     }
 
     let cfg = eval_gpu(sms);
@@ -107,6 +105,7 @@ fn main() {
                     r.render_speedups("Figure 12: effect of synchronization (speedup over BASE)")
                 );
             }
+            "ablations" => println!("{}", render_ablations(scale, &cfg)),
             _ => usage(),
         }
     }

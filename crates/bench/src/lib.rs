@@ -2,17 +2,15 @@
 //!
 //! Every paper artifact is regenerated from the same pipeline: run the 13
 //! Table-1 workloads under each technique, then render the figure's
-//! rows/series from the collected [`SimStats`]. The criterion benches and
-//! the `figures` binary both call into this module, so
-//! `cargo bench -p darsie-bench` and
-//! `cargo run -p darsie-bench --bin figures` agree by construction.
+//! rows/series from the collected [`SimStats`]. The `figures` binary
+//! prints every renderer here; host-time measurement lives in `perfbench/`.
 
 pub mod manifest;
 pub mod replay;
 
 use darsie::DarsieConfig;
 use gpu_energy::EnergyModel;
-use gpu_sim::{trace_redundancy, GpuConfig, SimStats, Technique};
+use gpu_sim::{trace_redundancy, GpuConfig, SchedulerPolicy, SimStats, Technique};
 use workloads::{catalog, Scale, Workload};
 
 /// The evaluation machine: the Table-2 Pascal SM configuration with a
@@ -61,6 +59,62 @@ pub fn fig12_techniques() -> Vec<Technique> {
         Technique::Darsie(DarsieConfig::no_cf_sync()),
         Technique::SiliconSync,
     ]
+}
+
+/// The artifacts `figures all` expands to, in print order. The ablation
+/// study is not among them: it is a design-choice sweep, not a paper figure.
+pub const ALL_ARTIFACTS: [&str; 13] = [
+    "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig6", "fig8", "fig9", "fig10", "fig11",
+    "fig12", "area",
+];
+
+/// The design-choice ablations of DESIGN.md as `(label, config, technique)`
+/// variants of `cfg`: register versioning vs write-synchronization,
+/// skip-table entries, coalescer ports, rename registers and warp-scheduler
+/// policy.
+#[must_use]
+pub fn ablation_variants(cfg: &GpuConfig) -> Vec<(String, GpuConfig, Technique)> {
+    let mut v = vec![
+        ("versioning (default)".to_string(), cfg.clone(), Technique::darsie()),
+        (
+            "no-versioning".to_string(),
+            cfg.clone(),
+            Technique::Darsie(DarsieConfig::no_versioning()),
+        ),
+    ];
+    for entries in [1usize, 2, 4, 8, 16] {
+        let d = DarsieConfig { skip_entries_per_tb: entries, ..DarsieConfig::default() };
+        v.push((format!("skip_entries={entries}"), cfg.clone(), Technique::Darsie(d)));
+    }
+    for ports in [1usize, 2, 4] {
+        let d = DarsieConfig { skip_table_ports: ports, ..DarsieConfig::default() };
+        v.push((format!("skip_ports={ports}"), cfg.clone(), Technique::Darsie(d)));
+    }
+    for regs in [8usize, 16, 32] {
+        let d = DarsieConfig { rename_regs_per_tb: regs, ..DarsieConfig::default() };
+        v.push((format!("rename_regs={regs}"), cfg.clone(), Technique::Darsie(d)));
+    }
+    let lrr = GpuConfig { scheduler: SchedulerPolicy::Lrr, ..cfg.clone() };
+    v.push(("scheduler=GTO".to_string(), cfg.clone(), Technique::darsie()));
+    v.push(("scheduler=LRR".to_string(), lrr, Technique::darsie()));
+    v
+}
+
+/// Renders the ablation study: the gmean speedup over BASE of every
+/// [`ablation_variants`] row on the 2D workloads.
+#[must_use]
+pub fn render_ablations(scale: Scale, cfg: &GpuConfig) -> String {
+    let two_d: Vec<Workload> = catalog(scale).into_iter().filter(|w| w.is_2d).collect();
+    let mut out = String::from("Ablations: design-choice sweeps (gmean-2D speedup over BASE)\n");
+    for (label, cfg, tech) in ablation_variants(cfg) {
+        let speedup = gmean(two_d.iter().map(|w| {
+            let base = w.run_unchecked(&cfg, Technique::Base).cycles as f64;
+            let t = w.run_unchecked(&cfg, tech.clone()).cycles as f64;
+            base / t.max(1.0)
+        }));
+        out.push_str(&format!("ablation {label:28} gmean-2D speedup {speedup:.3}\n"));
+    }
+    out
 }
 
 /// Results of one workload under several techniques.
@@ -411,5 +465,53 @@ mod tests {
         assert!(render_table1(Scale::Test).contains("MatrixMul"));
         assert!(render_table2(&eval_gpu(4)).contains("Pascal"));
         assert!(render_table3().contains("DARSIE"));
+        assert!(!ALL_ARTIFACTS.contains(&"ablations"), "`all` must not run the ablation sweep");
+    }
+
+    #[test]
+    fn ablation_variants_pin_the_study() {
+        let cfg = eval_gpu(2);
+        let variants = ablation_variants(&cfg);
+        let labels: Vec<&str> = variants.iter().map(|(l, _, _)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "versioning (default)",
+                "no-versioning",
+                "skip_entries=1",
+                "skip_entries=2",
+                "skip_entries=4",
+                "skip_entries=8",
+                "skip_entries=16",
+                "skip_ports=1",
+                "skip_ports=2",
+                "skip_ports=4",
+                "rename_regs=8",
+                "rename_regs=16",
+                "rename_regs=32",
+                "scheduler=GTO",
+                "scheduler=LRR",
+            ]
+        );
+        let row = |label: &str| {
+            variants.iter().find(|(l, _, _)| l == label).expect("variant present").clone()
+        };
+        for label in [
+            "versioning (default)",
+            "skip_entries=8",
+            "skip_ports=2",
+            "rename_regs=32",
+            "scheduler=GTO",
+        ] {
+            let (_, c, t) = row(label);
+            assert_eq!(c, cfg, "{label} must run on the unmodified config");
+            assert_eq!(t, Technique::darsie(), "{label} must be the paper default");
+        }
+        let (_, c, t) = row("no-versioning");
+        assert_eq!(c, cfg);
+        assert_eq!(t, Technique::Darsie(DarsieConfig::no_versioning()));
+        let (_, c, t) = row("scheduler=LRR");
+        assert_eq!(c.scheduler, SchedulerPolicy::Lrr);
+        assert_eq!(t, Technique::darsie());
     }
 }

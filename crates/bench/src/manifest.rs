@@ -5,7 +5,7 @@
 //! exact subcommand and arguments, a fingerprint of the GPU configuration
 //! the run used, per-phase spans (wall time plus allocation deltas from
 //! the [`CountingAlloc`] global allocator), integer counters (lint
-//! totals, workload counts), floating-point metrics (digest overhead),
+//! totals, workload counts), floating-point metrics (mean bracket width),
 //! and the per-run digest roots of every simulation the subcommand
 //! performed. CI archives manifests as artifacts so a regression can be
 //! traced to the phase that slowed down or the run whose root drifted.
@@ -110,9 +110,9 @@ pub struct PhaseSpan {
     pub allocs: u64,
 }
 
-/// Escapes a string for a JSON string literal (local copy: the CLI binary
-/// has its own, but the manifest renders from the library).
-fn esc(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -217,7 +217,8 @@ impl RunManifest {
     /// Renders the manifest as a JSON document (with trailing newline).
     #[must_use]
     pub fn render_json(&self) -> String {
-        let args: Vec<String> = self.args.iter().map(|a| format!("\"{}\"", esc(a))).collect();
+        let args: Vec<String> =
+            self.args.iter().map(|a| format!("\"{}\"", json_escape(a))).collect();
         let fp = self
             .config_fingerprint
             .map_or_else(|| "null".to_string(), |f| format!("\"{f:#018x}\""));
@@ -228,7 +229,7 @@ impl RunManifest {
                 format!(
                     "{{\"name\":\"{}\",\"start_seconds\":{:.6},\"wall_seconds\":{:.6},\
                      \"alloc_bytes\":{},\"allocs\":{}}}",
-                    esc(&p.name),
+                    json_escape(&p.name),
                     p.start_seconds,
                     p.wall_seconds,
                     p.alloc_bytes,
@@ -237,13 +238,13 @@ impl RunManifest {
             })
             .collect();
         let counters: Vec<String> =
-            self.counters.iter().map(|(k, v)| format!("\"{}\":{v}", esc(k))).collect();
+            self.counters.iter().map(|(k, v)| format!("\"{}\":{v}", json_escape(k))).collect();
         let metrics: Vec<String> =
-            self.metrics.iter().map(|(k, v)| format!("\"{}\":{v:.6}", esc(k))).collect();
+            self.metrics.iter().map(|(k, v)| format!("\"{}\":{v:.6}", json_escape(k))).collect();
         let roots: Vec<String> = self
             .digest_roots
             .iter()
-            .map(|(k, v)| format!("\"{}\":\"{v:#018x}\"", esc(k)))
+            .map(|(k, v)| format!("\"{}\":\"{v:#018x}\"", json_escape(k)))
             .collect();
         format!(
             "{{\"tool\":\"{TOOL}\",\"version\":\"{VERSION}\",\
@@ -251,7 +252,7 @@ impl RunManifest {
              \"config_fingerprint\":{fp},\"wall_seconds\":{:.6},\"exit_code\":{},\
              \"phases\":[{}],\"counters\":{{{}}},\"metrics\":{{{}}},\
              \"digest_roots\":{{{}}}}}\n",
-            esc(&self.subcommand),
+            json_escape(&self.subcommand),
             args.join(","),
             self.elapsed_seconds(),
             self.exit_code,
@@ -299,6 +300,14 @@ mod tests {
     }
 
     #[test]
+    fn json_escape_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("l1\nl2\tx\r"), "l1\\nl2\\tx\\r");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
     fn manifest_renders_all_sections() {
         let mut m = RunManifest::new("verify", &["--json".to_string()]);
         m.set_config(&GpuConfig::test_small());
@@ -306,7 +315,7 @@ mod tests {
         assert_eq!(out, 7);
         m.count("total_errors", 0);
         m.count("workloads", 13);
-        m.metric("digest_overhead_percent", 1.25);
+        m.metric("mean_bracket_width", 1.25);
         m.digest_root("BIN/DARSIE", 0xdead_beef_0000_0001);
         m.exit_code = 0;
         let json = m.render_json();
@@ -320,7 +329,7 @@ mod tests {
             "\"wall_seconds\":",
             "\"alloc_bytes\":",
             "\"counters\":{\"total_errors\":0,\"workloads\":13}",
-            "\"metrics\":{\"digest_overhead_percent\":1.250000}",
+            "\"metrics\":{\"mean_bracket_width\":1.250000}",
             "\"digest_roots\":{\"BIN/DARSIE\":\"0xdeadbeef00000001\"}",
             "\"exit_code\":0",
         ] {
