@@ -176,6 +176,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// An SM count: a positive integer, or a usage exit (zero SMs cannot hold
+/// a thread block).
+fn parse_sms(v: &str) -> usize {
+    v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| usage())
+}
+
 /// Comma-separated catalog abbreviations for "unknown workload" errors.
 fn known_abbrs() -> String {
     catalog(Scale::Test).iter().map(|w| w.abbr).collect::<Vec<_>>().join(", ")
@@ -1682,7 +1688,7 @@ fn replay_diff_command(args: &[String]) {
                         parse_scheduler_name(&next("--scheduler")).unwrap_or_else(|| usage());
                 }
                 "--sms" => {
-                    spec_a.sms = next("--sms").parse().unwrap_or_else(|_| usage());
+                    spec_a.sms = parse_sms(&next("--sms"));
                 }
                 "--against" => {
                     let kv = next("--against");
@@ -1711,7 +1717,7 @@ fn replay_diff_command(args: &[String]) {
             "scheduler" => {
                 spec_b.scheduler = parse_scheduler_name(v).unwrap_or_else(|| usage());
             }
-            "sms" => spec_b.sms = v.parse().unwrap_or_else(|_| usage()),
+            "sms" => spec_b.sms = parse_sms(v),
             _ => {
                 eprintln!("--against key must be technique, scheduler or sms (got {k})");
                 std::process::exit(2);
@@ -1880,7 +1886,7 @@ fn main() {
                     _ => usage(),
                 }
             }
-            "--sms" => sms = next().parse().unwrap_or_else(|_| usage()),
+            "--sms" => sms = parse_sms(&next()),
             "--scheduler" => {
                 scheduler = match next().as_str() {
                     "gto" => SchedulerPolicy::Gto,

@@ -8,17 +8,20 @@
 //! ```
 //!
 //! `all` prints every paper table and figure; the `ablations` design-choice
-//! sweep runs only when named.
+//! sweep runs only when named. The catalog is built once, and every
+//! simulation the named artifacts need runs once, on all available cores,
+//! before anything is printed.
 
 use darsie_bench::{
-    collect, eval_gpu, fig12_techniques, fig8_techniques, limit_study, render_ablations,
-    render_fig1, render_fig2, render_table1, render_table2, render_table3, Report, ALL_ARTIFACTS,
+    eval_gpu, fig12_techniques, fig8_techniques, render_fig1, render_fig2, render_table1,
+    render_table2, render_table3, Plan, ALL_ARTIFACTS,
 };
 use gpu_energy::{AreaEstimate, AreaParams};
 use gpu_sim::trace_redundancy;
 use simt_compiler::compile;
 use simt_isa::{KernelBuilder, LaunchConfig, MemSpace, SpecialReg, Value};
-use workloads::Scale;
+use std::num::NonZeroUsize;
+use workloads::{catalog, Scale};
 
 fn usage() -> ! {
     eprintln!(
@@ -32,81 +35,70 @@ fn usage() -> ! {
 fn main() {
     let mut scale = Scale::Eval;
     let mut sms = 4usize;
-    let mut artifacts: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut artifacts: Vec<&str> = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                scale = match args.next().as_deref() {
+                scale = match it.next().map(String::as_str) {
                     Some("eval") => Scale::Eval,
                     Some("test") => Scale::Test,
                     _ => usage(),
                 }
             }
             "--sms" => {
-                sms = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
+                sms = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage());
             }
             "-h" | "--help" => usage(),
-            other => artifacts.push(other.to_string()),
+            other if ALL_ARTIFACTS.contains(&other) || other == "ablations" || other == "all" => {
+                artifacts.push(other);
+            }
+            _ => usage(),
         }
     }
     if artifacts.is_empty() {
         usage();
     }
-    if artifacts.iter().any(|a| a == "all") {
-        artifacts = ALL_ARTIFACTS.iter().map(|s| s.to_string()).collect();
+    if artifacts.contains(&"all") {
+        artifacts = ALL_ARTIFACTS.to_vec();
     }
 
     let cfg = eval_gpu(sms);
-    let mut fig8_report: Option<Report> = None;
-    let mut fig12_report: Option<Report> = None;
-    let mut limit: Option<Vec<darsie_bench::LimitRow>> = None;
+    let workloads = catalog(scale);
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let table = Plan::for_artifacts(&artifacts, &workloads, &cfg).run(&workloads, threads);
+    let fig8 = || table.report(&workloads, &cfg, &fig8_techniques());
 
-    for artifact in &artifacts {
-        match artifact.as_str() {
-            "table1" => println!("{}", render_table1(scale)),
+    for artifact in artifacts {
+        match artifact {
+            "table1" => println!("{}", render_table1(&workloads)),
             "table2" => println!("{}", render_table2(&cfg)),
             "table3" => println!("{}", render_table3()),
             "area" => {
                 println!("Section 6.3: area estimate");
                 println!("{}\n", AreaEstimate::compute(&AreaParams::default()).report());
             }
-            "fig1" => {
-                let rows = limit.get_or_insert_with(|| limit_study(scale));
-                println!("{}", render_fig1(rows));
-            }
-            "fig2" => {
-                let rows = limit.get_or_insert_with(|| limit_study(scale));
-                println!("{}", render_fig2(rows));
-            }
+            "fig1" => println!("{}", render_fig1(&table.limit_study(&workloads))),
+            "fig2" => println!("{}", render_fig2(&table.limit_study(&workloads))),
             "fig3" => println!("{}", fig3_walkthrough()),
             "fig6" => println!("{}", fig6_markings()),
-            "fig8" => {
-                let r = fig8_report.get_or_insert_with(|| collect(scale, &cfg, &fig8_techniques()));
-                println!("{}", r.render_fig8());
-            }
-            "fig9" => {
-                let r = fig8_report.get_or_insert_with(|| collect(scale, &cfg, &fig8_techniques()));
-                println!("{}", r.render_insn_reduction(false));
-            }
-            "fig10" => {
-                let r = fig8_report.get_or_insert_with(|| collect(scale, &cfg, &fig8_techniques()));
-                println!("{}", r.render_insn_reduction(true));
-            }
-            "fig11" => {
-                let r = fig8_report.get_or_insert_with(|| collect(scale, &cfg, &fig8_techniques()));
-                println!("{}", r.render_fig11());
-            }
-            "fig12" => {
-                let r =
-                    fig12_report.get_or_insert_with(|| collect(scale, &cfg, &fig12_techniques()));
-                println!(
-                    "{}",
-                    r.render_speedups("Figure 12: effect of synchronization (speedup over BASE)")
-                );
-            }
-            "ablations" => println!("{}", render_ablations(scale, &cfg)),
-            _ => usage(),
+            "fig8" => println!("{}", fig8().render_fig8()),
+            "fig9" => println!("{}", fig8().render_insn_reduction(false)),
+            "fig10" => println!("{}", fig8().render_insn_reduction(true)),
+            "fig11" => println!("{}", fig8().render_fig11()),
+            "fig12" => println!(
+                "{}",
+                table
+                    .report(&workloads, &cfg, &fig12_techniques())
+                    .render_speedups("Figure 12: effect of synchronization (speedup over BASE)")
+            ),
+            "ablations" => println!("{}", table.render_ablations(&workloads, &cfg)),
+            _ => unreachable!("artifact names are checked while parsing"),
         }
     }
 }

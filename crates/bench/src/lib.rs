@@ -1,9 +1,14 @@
 //! Shared experiment engine for the figure/table harness.
 //!
-//! Every paper artifact is regenerated from the same pipeline: run the 13
-//! Table-1 workloads under each technique, then render the figure's
-//! rows/series from the collected [`SimStats`]. The `figures` binary
-//! prints every renderer here; host-time measurement lives in `perfbench/`.
+//! Every paper artifact is regenerated from one job table. [`Plan`] lists
+//! the distinct jobs the requested artifacts need (a limit-study trace, or
+//! a cycle-level launch of a Table-1 workload under one `GpuConfig` and
+//! `Technique`), each once however many figures read it. [`Plan::run`]
+//! runs them on a dynamically claimed thread pool, validating every
+//! result against the CPU reference, and the figures, tables and the
+//! ablation study render from lookups into the resulting [`JobTable`].
+//! The `figures` binary prints every renderer here; host-time measurement
+//! lives in `perfbench/`.
 
 pub mod manifest;
 pub mod replay;
@@ -11,7 +16,8 @@ pub mod replay;
 use darsie::DarsieConfig;
 use gpu_energy::EnergyModel;
 use gpu_sim::{trace_redundancy, GpuConfig, SchedulerPolicy, SimStats, Technique};
-use workloads::{catalog, Scale, Workload};
+use simt_verify::parallel_map;
+use workloads::Workload;
 
 /// The evaluation machine: the Table-2 Pascal SM configuration with a
 /// reduced SM count so the scaled-down workloads still fill the GPU (the
@@ -100,21 +106,183 @@ pub fn ablation_variants(cfg: &GpuConfig) -> Vec<(String, GpuConfig, Technique)>
     v
 }
 
-/// Renders the ablation study: the gmean speedup over BASE of every
-/// [`ablation_variants`] row on the 2D workloads.
-#[must_use]
-pub fn render_ablations(scale: Scale, cfg: &GpuConfig) -> String {
-    let two_d: Vec<Workload> = catalog(scale).into_iter().filter(|w| w.is_2d).collect();
-    let mut out = String::from("Ablations: design-choice sweeps (gmean-2D speedup over BASE)\n");
-    for (label, cfg, tech) in ablation_variants(cfg) {
-        let speedup = gmean(two_d.iter().map(|w| {
-            let base = w.run_unchecked(&cfg, Technique::Base).cycles as f64;
-            let t = w.run_unchecked(&cfg, tech.clone()).cycles as f64;
-            base / t.max(1.0)
-        }));
-        out.push_str(&format!("ablation {label:28} gmean-2D speedup {speedup:.3}\n"));
+/// One unit of work of the job table; the workload is a catalog index.
+// A table holds at most a few hundred jobs, so variant size is immaterial.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq)]
+pub enum Job {
+    /// The functional limit-study trace behind Figures 1 and 2.
+    Trace(usize),
+    /// A cycle-level launch under one machine configuration and technique.
+    Launch(usize, GpuConfig, Technique),
+}
+
+/// What a [`Job`] produced. A launch keeps only its statistics; its final
+/// memory is dropped once validated.
+#[allow(clippy::large_enum_variant)]
+enum Outcome {
+    Trace(LimitRow),
+    Launch(SimStats),
+}
+
+/// The distinct jobs a set of artifacts needs. Two jobs are the same when
+/// their workload, `GpuConfig` and `Technique` compare equal, so a launch
+/// that several figures read (BASE and DARSIE in Figures 8 and 12, BASE in
+/// every ablation row) is planned once.
+#[derive(Debug, Default)]
+pub struct Plan {
+    jobs: Vec<Job>,
+}
+
+impl Plan {
+    /// Plans the jobs of `artifacts` (as `figures` names them, with `all`
+    /// already expanded) over the catalog `workloads` on `cfg`. Artifacts
+    /// that simulate nothing plan no job.
+    #[must_use]
+    pub fn for_artifacts(artifacts: &[&str], workloads: &[Workload], cfg: &GpuConfig) -> Plan {
+        let mut plan = Plan::default();
+        for &artifact in artifacts {
+            match artifact {
+                "fig1" | "fig2" => (0..workloads.len()).for_each(|w| plan.add(Job::Trace(w))),
+                "fig8" | "fig9" | "fig10" | "fig11" => {
+                    plan.sweep(workloads.len(), cfg, &fig8_techniques());
+                }
+                "fig12" => plan.sweep(workloads.len(), cfg, &fig12_techniques()),
+                "ablations" => {
+                    for w in two_d(workloads) {
+                        for (_, cfg, tech) in ablation_variants(cfg) {
+                            plan.add(Job::Launch(w, cfg.clone(), Technique::Base));
+                            plan.add(Job::Launch(w, cfg, tech));
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        plan
     }
-    out
+
+    /// Adds `job` unless an equal job is already planned.
+    pub fn add(&mut self, job: Job) {
+        if !self.jobs.contains(&job) {
+            self.jobs.push(job);
+        }
+    }
+
+    /// Adds the launch of each of the first `workloads` catalog entries
+    /// under each of `techniques` on `cfg`.
+    pub fn sweep(&mut self, workloads: usize, cfg: &GpuConfig, techniques: &[Technique]) {
+        for w in 0..workloads {
+            for t in techniques {
+                self.add(Job::Launch(w, cfg.clone(), t.clone()));
+            }
+        }
+    }
+
+    /// The planned jobs, each distinct.
+    #[must_use]
+    pub fn jobs(&self) -> &[Job] {
+        &self.jobs
+    }
+
+    /// The number of planned cycle-level launches.
+    #[must_use]
+    pub fn launches(&self) -> usize {
+        self.jobs.iter().filter(|j| matches!(j, Job::Launch(..))).count()
+    }
+
+    /// Runs every planned job once over `workloads` on `threads` workers
+    /// (see [`parallel_map`]). Each launch is validated against the CPU
+    /// reference, and a failed validation panics. The table is the same
+    /// whatever the thread count: the simulator is deterministic.
+    #[must_use]
+    pub fn run(self, workloads: &[Workload], threads: usize) -> JobTable {
+        let outcomes = parallel_map(&self.jobs, threads, |job| match job {
+            Job::Trace(w) => Outcome::Trace(limit_row(&workloads[*w])),
+            Job::Launch(w, cfg, t) => Outcome::Launch(workloads[*w].run(cfg, t.clone()).stats),
+        });
+        JobTable { done: self.jobs.into_iter().zip(outcomes).collect() }
+    }
+}
+
+/// The results of a [`Plan`], looked up by job.
+pub struct JobTable {
+    done: Vec<(Job, Outcome)>,
+}
+
+impl JobTable {
+    fn find(&self, is: impl Fn(&Job) -> bool) -> Option<&Outcome> {
+        self.done.iter().find(|(j, _)| is(j)).map(|(_, o)| o)
+    }
+
+    /// The statistics of the launch of catalog entry `workload` under
+    /// `technique` on `cfg`. Panics when that launch was not planned.
+    #[must_use]
+    pub fn stats(&self, workload: usize, cfg: &GpuConfig, technique: &Technique) -> &SimStats {
+        match self.find(
+            |j| matches!(j, Job::Launch(w, c, t) if *w == workload && c == cfg && t == technique),
+        ) {
+            Some(Outcome::Launch(stats)) => stats,
+            _ => panic!("workload {workload} under {} was not planned", technique.label()),
+        }
+    }
+
+    /// The limit-study row of every catalog entry, in catalog order.
+    /// Panics when the traces were not planned.
+    #[must_use]
+    pub fn limit_study(&self, workloads: &[Workload]) -> Vec<LimitRow> {
+        (0..workloads.len())
+            .map(|w| match self.find(|j| *j == Job::Trace(w)) {
+                Some(Outcome::Trace(row)) => row.clone(),
+                _ => panic!("the trace of {} was not planned", workloads[w].abbr),
+            })
+            .collect()
+    }
+
+    /// One figure sweep: `techniques` over the whole catalog on `cfg`.
+    #[must_use]
+    pub fn report(
+        &self,
+        workloads: &[Workload],
+        cfg: &GpuConfig,
+        techniques: &[Technique],
+    ) -> Report {
+        let rows = workloads
+            .iter()
+            .enumerate()
+            .map(|(i, w)| WorkloadRow {
+                abbr: w.abbr,
+                is_2d: w.is_2d,
+                per_tech: techniques
+                    .iter()
+                    .map(|t| (t.label(), self.stats(i, cfg, t).clone()))
+                    .collect(),
+            })
+            .collect();
+        Report { rows, num_sms: cfg.num_sms }
+    }
+
+    /// Renders the ablation study: the gmean speedup over BASE of every
+    /// [`ablation_variants`] row on the 2D workloads.
+    #[must_use]
+    pub fn render_ablations(&self, workloads: &[Workload], cfg: &GpuConfig) -> String {
+        let mut out =
+            String::from("Ablations: design-choice sweeps (gmean-2D speedup over BASE)\n");
+        for (label, cfg, tech) in ablation_variants(cfg) {
+            let speedup = gmean(two_d(workloads).map(|w| {
+                let base = self.stats(w, &cfg, &Technique::Base).cycles as f64;
+                let t = self.stats(w, &cfg, &tech).cycles as f64;
+                base / t.max(1.0)
+            }));
+            out.push_str(&format!("ablation {label:28} gmean-2D speedup {speedup:.3}\n"));
+        }
+        out
+    }
+}
+
+/// Catalog indices of the 2D-TB workloads.
+fn two_d(workloads: &[Workload]) -> impl Iterator<Item = usize> + '_ {
+    workloads.iter().enumerate().filter(|(_, w)| w.is_2d).map(|(i, _)| i)
 }
 
 /// Results of one workload under several techniques.
@@ -169,21 +337,6 @@ pub struct Report {
     pub rows: Vec<WorkloadRow>,
     /// SM count used (for the energy model).
     pub num_sms: usize,
-}
-
-/// Runs `techniques` over the full catalog.
-#[must_use]
-pub fn collect(scale: Scale, cfg: &GpuConfig, techniques: &[Technique]) -> Report {
-    let mut rows = Vec::new();
-    for w in catalog(scale) {
-        let mut per_tech = Vec::new();
-        for t in techniques {
-            let res = w.run(cfg, t.clone());
-            per_tech.push((t.label(), res.stats));
-        }
-        rows.push(WorkloadRow { abbr: w.abbr, is_2d: w.is_2d, per_tech });
-    }
-    Report { rows, num_sms: cfg.num_sms }
 }
 
 impl Report {
@@ -300,6 +453,7 @@ impl Report {
 }
 
 /// The Figure-1 / Figure-2 limit study for one workload.
+#[derive(Debug, Clone)]
 pub struct LimitRow {
     /// Abbreviation.
     pub abbr: &'static str,
@@ -311,26 +465,17 @@ pub struct LimitRow {
     pub taxonomy: [f64; 4],
 }
 
-/// Runs the limit study (functional oracle) over the catalog.
-#[must_use]
-pub fn limit_study(scale: Scale) -> Vec<LimitRow> {
-    catalog(scale)
-        .into_iter()
-        .map(|w: Workload| {
-            let (t, mem) = trace_redundancy(&w.ck, &w.launch, w.memory.clone());
-            (w.check)(&mem).expect("functional trace must validate");
-            LimitRow {
-                abbr: w.abbr,
-                is_2d: w.is_2d,
-                levels: [
-                    t.frac(t.grid_redundant),
-                    t.frac(t.tb_redundant),
-                    t.frac(t.warp_redundant),
-                ],
-                taxonomy: t.taxonomy_fractions(),
-            }
-        })
-        .collect()
+/// Runs the limit study (functional oracle) on one workload, checking the
+/// traced memory against the CPU reference.
+fn limit_row(w: &Workload) -> LimitRow {
+    let (t, mem) = trace_redundancy(&w.ck, &w.launch, w.memory.clone());
+    (w.check)(&mem).expect("functional trace must validate");
+    LimitRow {
+        abbr: w.abbr,
+        is_2d: w.is_2d,
+        levels: [t.frac(t.grid_redundant), t.frac(t.tb_redundant), t.frac(t.warp_redundant)],
+        taxonomy: t.taxonomy_fractions(),
+    }
 }
 
 /// Renders Figure 1 (average redundancy per thread-grouping level).
@@ -368,9 +513,9 @@ pub fn render_fig2(rows: &[LimitRow]) -> String {
 
 /// Renders Table 1 (the application catalog).
 #[must_use]
-pub fn render_table1(scale: Scale) -> String {
+pub fn render_table1(workloads: &[Workload]) -> String {
     let mut out = String::from("Table 1: applications studied\n");
-    for w in catalog(scale) {
+    for w in workloads {
         out.push_str(&format!(
             "{:8} {:24} TB=({},{})  grid=({},{})  [{}]\n",
             w.abbr,
@@ -421,6 +566,7 @@ pub fn render_table3() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::{catalog, Scale};
 
     #[test]
     fn gmean_basics() {
@@ -429,14 +575,35 @@ mod tests {
         assert_eq!(gmean(std::iter::empty()), 1.0);
     }
 
-    #[test]
-    fn collect_and_render_smoke() {
+    /// The BASE and DARSIE sweep of the test catalog on `test_small`,
+    /// run on `threads` workers.
+    fn base_darsie(ws: &[Workload], threads: usize) -> Report {
         let cfg = GpuConfig { shadow_check: false, ..GpuConfig::test_small() };
-        let report = collect(Scale::Test, &cfg, &[Technique::Base, Technique::darsie()]);
+        let techniques = [Technique::Base, Technique::darsie()];
+        let mut plan = Plan::default();
+        plan.sweep(ws.len(), &cfg, &techniques);
+        assert_eq!(plan.launches(), 26);
+        plan.run(ws, threads).report(ws, &cfg, &techniques)
+    }
+
+    #[test]
+    fn sweep_is_thread_count_invariant_and_renders() {
+        let ws = catalog(Scale::Test);
+        let serial = base_darsie(&ws, 1);
+        let report = base_darsie(&ws, 3);
         assert_eq!(report.rows.len(), 13);
+        for (a, b) in serial.rows.iter().zip(&report.rows) {
+            assert_eq!(a.abbr, b.abbr);
+            for ((la, sa), (lb, sb)) in a.per_tech.iter().zip(&b.per_tech) {
+                assert_eq!(la, lb);
+                assert_eq!(sa.digest_root, sb.digest_root, "{} {la}", a.abbr);
+                assert_eq!(sa, sb, "{} {la}: stats differ across thread counts", a.abbr);
+            }
+        }
         let fig8 = report.render_fig8();
         assert!(fig8.contains("GMEAN-2D"), "{fig8}");
         assert!(fig8.contains("MM"));
+        assert_eq!(fig8, serial.render_fig8());
         let fig10 = report.render_insn_reduction(true);
         assert!(fig10.contains("DARSIE"));
         let fig11 = report.render_fig11();
@@ -448,9 +615,48 @@ mod tests {
     }
 
     #[test]
+    fn plan_lists_each_distinct_job_once() {
+        for scale in [Scale::Test, Scale::Eval] {
+            let ws = catalog(scale);
+            let all = Plan::for_artifacts(&ALL_ARTIFACTS, &ws, &eval_gpu(4));
+            // 7 techniques x 13 workloads: Figure 12's BASE and DARSIE are
+            // Figure 8's, and `fig9`..`fig11` add nothing to `fig8`.
+            assert_eq!(all.launches(), 91, "{scale:?}");
+            assert_eq!(all.jobs().len(), 91 + 13, "{scale:?}: plus one trace per workload");
+        }
+        let ws = catalog(Scale::Test);
+        let cfg = eval_gpu(2);
+        let ablations = Plan::for_artifacts(&["ablations"], &ws, &cfg);
+        // Per 2D workload: BASE on the GTO and LRR configs plus the 11
+        // distinct DARSIE variants (five rows are the paper default).
+        assert_eq!(ws.iter().filter(|w| w.is_2d).count(), 8);
+        assert_eq!(ablations.launches(), 104);
+        assert!(ablations.jobs().iter().all(|j| matches!(j, Job::Launch(w, ..) if ws[*w].is_2d)));
+
+        let fig8 = Plan::for_artifacts(&["fig8"], &ws, &cfg);
+        assert_eq!(fig8.launches(), 5 * 13);
+        for job in fig8.jobs() {
+            let Job::Launch(_, _, t) = job else { panic!("fig8 planned {job:?}") };
+            assert!(!matches!(t.label(), "SILICON-SYNC" | "DARSIE-NO-CF-SYNC"), "{job:?}");
+        }
+        let mut plan = Plan::default();
+        plan.add(Job::Trace(1));
+        plan.add(Job::Launch(0, cfg.clone(), Technique::darsie()));
+        plan.add(Job::Trace(1));
+        plan.add(Job::Launch(0, cfg.clone(), Technique::Darsie(DarsieConfig::default())));
+        assert_eq!(plan.jobs().len(), 2, "equal jobs are planned once");
+        let none =
+            Plan::for_artifacts(&["table1", "table2", "table3", "fig3", "fig6", "area"], &ws, &cfg);
+        assert!(none.jobs().is_empty());
+    }
+
+    #[test]
     fn limit_study_smoke() {
-        let rows = limit_study(Scale::Test);
+        let ws = catalog(Scale::Test);
+        let rows =
+            Plan::for_artifacts(&["fig1", "fig2"], &ws, &eval_gpu(4)).run(&ws, 2).limit_study(&ws);
         assert_eq!(rows.len(), 13);
+        assert!(rows.iter().zip(&ws).all(|(r, w)| r.abbr == w.abbr), "catalog order");
         let fig1 = render_fig1(&rows);
         assert!(fig1.contains("TB-wide"));
         let fig2 = render_fig2(&rows);
@@ -462,7 +668,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        assert!(render_table1(Scale::Test).contains("MatrixMul"));
+        assert!(render_table1(&catalog(Scale::Test)).contains("MatrixMul"));
         assert!(render_table2(&eval_gpu(4)).contains("Pascal"));
         assert!(render_table3().contains("DARSIE"));
         assert!(!ALL_ARTIFACTS.contains(&"ablations"), "`all` must not run the ablation sweep");

@@ -1,8 +1,9 @@
-//! Integration tests for the `darsie-sim` CLI: workload-selection
-//! robustness (unknown names must fail fast and list the valid ones) and
-//! golden schemas for every `--json` document, parsed with a minimal
-//! validating JSON reader so a malformed or restructured document fails
-//! loudly rather than by substring accident.
+//! Integration tests for the `darsie-sim` and `figures` CLIs: usage
+//! errors, workload-selection robustness (unknown names must fail fast
+//! and list the valid ones) and golden schemas for every `--json`
+//! document, parsed with a minimal validating JSON reader so a malformed
+//! or restructured document fails loudly rather than by substring
+//! accident.
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -256,6 +257,40 @@ fn unknown_positional_abbr_fails_and_lists_valid_names() {
         assert!(err.contains("unknown benchmark `NOSUCH`"), "{sub}: {err}");
         assert!(err.contains("BIN"), "{sub}: valid names missing from\n{err}");
     }
+}
+
+/// Zero SMs cannot hold a thread block: every `--sms` is a usage error
+/// at 0 instead of a panic inside the simulator.
+#[test]
+fn zero_sms_is_a_usage_error() {
+    for args in [
+        &["BIN", "--sms", "0", "--scale", "test"][..],
+        &["replay-diff", "BIN", "--sms", "0", "--scale", "test"][..],
+        &["replay-diff", "BIN", "--scale", "test", "--against", "sms=0"][..],
+    ] {
+        let (code, _, err) = run(args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2");
+        assert!(err.starts_with("usage:"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--scale", "test", "--sms", "0", "fig8"])
+        .output()
+        .expect("spawn figures");
+    let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert_eq!(out.status.code(), Some(2), "figures --sms 0: {err}");
+    assert!(err.starts_with("usage: figures"), "{err}");
+}
+
+/// `figures` checks every artifact name before it simulates anything.
+#[test]
+fn figures_rejects_an_unknown_artifact_up_front() {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--scale", "test", "table3", "nosuch"])
+        .output()
+        .expect("spawn figures");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing is printed before the usage exit");
 }
 
 /// Golden schema for `verify --json`.

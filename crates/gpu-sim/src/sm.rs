@@ -856,8 +856,9 @@ impl Sm {
                 }
                 Some(IBufEntry::Ghost { .. }) => {
                     let Some(&IBufEntry::Ghost { pc }) = w.ibuffer.front() else { unreachable!() };
-                    let instr = self.kd.instr(pc).clone();
-                    if !w.scoreboard_ready(&instr) {
+                    let kd = Arc::clone(&self.kd);
+                    let instr = kd.instr(pc);
+                    if !w.scoreboard_ready(instr) {
                         return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
                     }
                     w.ibuffer.pop_front();
@@ -881,7 +882,7 @@ impl Sm {
                         block: self.kd.launch.block,
                         ctaid: tb.ctaid,
                     };
-                    let _ = execute(warp, &instr, &mut ctx);
+                    let _ = execute(warp, instr, &mut ctx);
                     warp.reconverge();
                 }
                 _ => break,
@@ -911,8 +912,9 @@ impl Sm {
         let Some(&IBufEntry::Instr { pc, leader }) = w.ibuffer.front() else {
             return IssueOutcome::Stall { cause: drained, pc: None };
         };
-        let instr = self.kd.instr(pc).clone();
-        if !w.scoreboard_ready(&instr) {
+        let kd = Arc::clone(&self.kd);
+        let instr = kd.instr(pc);
+        if !w.scoreboard_ready(instr) {
             return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
         }
 
@@ -952,15 +954,13 @@ impl Sm {
             && instr.guard.is_none()
             && !matches!(instr.op, Op::Sel(_))
         {
-            match self.try_uv_reuse(now, wslot, pc, &instr, global, banks_used) {
+            match self.try_uv_reuse(now, wslot, pc, instr, global, banks_used) {
                 Ok(()) => return IssueOutcome::Issued,
                 Err(key) => uv_key = Some(key),
             }
         }
 
-        self.issue_instr(
-            now, wslot, sched, pc, leader, uv_key, &instr, global, l2, dram, banks_used,
-        )
+        self.issue_instr(now, wslot, sched, pc, leader, uv_key, instr, global, l2, dram, banks_used)
     }
 
     /// SILICON-SYNC gate: returns true when the warp must stall.
@@ -1533,7 +1533,8 @@ impl Sm {
         values: &[u32],
         global: &mut GlobalMemory,
     ) {
-        let instr = self.kd.instr(pc).clone();
+        let kd = Arc::clone(&self.kd);
+        let instr = kd.instr(pc);
         let (tb_idx,) = {
             let w = self.warps[wslot].as_ref().expect("warp exists");
             (w.tb,)
@@ -1549,7 +1550,7 @@ impl Sm {
             block: self.kd.launch.block,
             ctaid: tb.ctaid,
         };
-        let _ = execute(w, &instr, &mut ctx);
+        let _ = execute(w, instr, &mut ctx);
         let recomputed = w.reg_vector(dst);
         w.set_reg_vector(dst, &before);
         assert_eq!(

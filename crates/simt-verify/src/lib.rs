@@ -51,14 +51,18 @@ use gpu_sim::GlobalMemory;
 use simt_compiler::CompiledKernel;
 use simt_isa::LaunchConfig;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Order-preserving scoped-thread map: shards `items` into contiguous
-/// chunks across at most `threads` workers and returns the results in
-/// input order. With `threads <= 1` (or a single item) it degenerates to
-/// a sequential map, so callers are byte-identical whatever the thread
-/// count. Shared by `verify`/`certify` CLI sharding,
-/// [`symex::prove_with_threads`] claim discharge, and the family
-/// differential gate.
+/// Order-preserving scoped-thread map: at most `threads` workers claim
+/// the next unclaimed item from a shared atomic counter, so a slow item
+/// never leaves the other workers idle behind a fixed share. Each worker
+/// keeps its `(index, result)` pairs, and they are merged back into input
+/// order once every worker has finished. With `threads <= 1` (or a single
+/// item) it degenerates to a sequential map, so callers are byte-identical
+/// whatever the thread count. A panicking `f` propagates to the caller.
+/// Shared by `verify`/`certify` CLI sharding, [`symex::prove_with_threads`]
+/// claim discharge, the family differential gate and the `figures` job
+/// table.
 pub fn parallel_map<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
@@ -68,20 +72,30 @@ pub fn parallel_map<T: Sync, R: Send>(
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = items.len().div_ceil(workers);
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out indices; the results
+            // reach the caller through the joins below.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return done };
+            done.push((i, f(item)));
+        }
+    };
+    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(claim)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
     let mut out: Vec<Option<R>> = Vec::new();
     out.resize_with(items.len(), || None);
-    std::thread::scope(|s| {
-        for (inp, outp) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let f = &f;
-            s.spawn(move || {
-                for (i, o) in inp.iter().zip(outp.iter_mut()) {
-                    *o = Some(f(i));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|r| r.expect("worker filled every slot")).collect()
+    for (i, r) in parts.into_iter().flatten() {
+        out[i] = Some(r);
+    }
+    out.into_iter().map(|r| r.expect("a worker claimed every item")).collect()
 }
 
 /// How bad a finding is. `Error` findings fail verification; warnings and
