@@ -221,7 +221,7 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
         }
         Op::Ld(space) => {
             let d = instr.dst.expect("ld has a dst");
-            let mut addrs = Vec::new();
+            let mut addrs = Vec::with_capacity(eff_mask.count_ones() as usize);
             for lane in 0..ws {
                 if eff_mask & (1 << lane) == 0 {
                     continue;
@@ -242,7 +242,7 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
             ExecEffect::Memory { space, addrs, is_store: false, is_atomic: false }
         }
         Op::St(space) => {
-            let mut addrs = Vec::new();
+            let mut addrs = Vec::with_capacity(eff_mask.count_ones() as usize);
             for lane in 0..ws {
                 if eff_mask & (1 << lane) == 0 {
                     continue;
@@ -263,7 +263,7 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
         }
         Op::Atom(aop) => {
             let d = instr.dst.expect("atom has a dst");
-            let mut addrs = Vec::new();
+            let mut addrs = Vec::with_capacity(eff_mask.count_ones() as usize);
             // Lanes apply in lane order (deterministic serialization).
             for lane in 0..ws {
                 if eff_mask & (1 << lane) == 0 {

@@ -14,7 +14,7 @@ use crate::mem::GlobalMemory;
 use crate::warp::{Warp, WarpState};
 use simt_compiler::CompiledKernel;
 use simt_isa::{AtomOp, Dim3, Instruction, LaunchConfig, MemSpace};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Hooks invoked around every dynamic warp instruction of a headless run.
 ///
@@ -118,7 +118,9 @@ pub fn run_tb_functional<O: FunctionalObserver>(
             Warp::new(w, 0, w as u32, ck.kernel.num_regs, ws, full, w as u64)
         })
         .collect();
-    let mut occurrences: Vec<HashMap<usize, u32>> = vec![HashMap::new(); num_warps];
+    // Dynamic execution count per (warp, pc), flattened warp-major.
+    let num_instrs = ck.kernel.instrs.len();
+    let mut occurrences = vec![0u32; num_warps * num_instrs];
     let mut at_barrier = vec![false; num_warps];
 
     loop {
@@ -131,12 +133,12 @@ pub fn run_tb_functional<O: FunctionalObserver>(
                 warps[w].state = WarpState::Done;
                 continue;
             };
-            let instr = ck.kernel.instrs[pc].clone();
-            let o = occurrences[w].entry(pc).or_insert(0);
+            let instr = &ck.kernel.instrs[pc];
+            let o = &mut occurrences[w * num_instrs + pc];
             *o += 1;
             let occurrence = *o;
 
-            observer.before_instruction(w, pc, occurrence, &instr, &warps[w]);
+            observer.before_instruction(w, pc, occurrence, instr, &warps[w]);
 
             warps[w].advance();
             let effect = {
@@ -148,7 +150,7 @@ pub fn run_tb_functional<O: FunctionalObserver>(
                     block: launch.block,
                     ctaid,
                 };
-                execute(&mut warps[w], &instr, &mut ctx)
+                execute(&mut warps[w], instr, &mut ctx)
             };
             progressed = true;
 
@@ -164,7 +166,7 @@ pub fn run_tb_functional<O: FunctionalObserver>(
                 }
             }
 
-            observer.after_instruction(w, pc, occurrence, &instr, &warps[w]);
+            observer.after_instruction(w, pc, occurrence, instr, &warps[w]);
 
             match effect {
                 ExecEffect::Branch { taken, target } => {
@@ -253,7 +255,10 @@ struct ShadowCell {
 pub struct RaceSanitizer {
     warp_size: u32,
     epoch: u32,
-    cells: HashMap<u64, ShadowCell>,
+    /// Shadow cell per shared word, indexed by word and grown on first
+    /// touch; `execute` bounds every shared address by the block's
+    /// scratchpad, so this never outgrows it.
+    cells: Vec<ShadowCell>,
     tainted: HashSet<u64>,
     races: Vec<SharedRace>,
     reported: HashSet<(usize, usize)>,
@@ -300,45 +305,21 @@ impl RaceSanitizer {
         addrs: &[(u32, u64)],
         is_store: bool,
     ) {
+        let epoch = self.epoch;
         for &(lane, addr) in addrs {
             let thread = warp_index as u32 * self.warp_size + lane;
             let word = addr / 4;
-            let seen = self.cells.get(&word).copied().unwrap_or_default();
-            if let Some((we, wt, wpc)) = seen.write {
-                if we == self.epoch && wt != thread {
-                    self.report(SharedRace {
-                        first_pc: wpc,
-                        first_thread: wt,
-                        second_pc: pc,
-                        second_thread: thread,
-                        word,
-                        write_write: is_store,
-                    });
-                }
+            let slot = usize::try_from(word).expect("shared word index fits usize");
+            if slot >= self.cells.len() {
+                self.cells.resize(slot + 1, ShadowCell::default());
             }
+            let cell = &mut self.cells[slot];
+            let seen = *cell;
             if is_store {
-                if seen.read_epoch == self.epoch {
-                    let other = [seen.min_reader, seen.max_reader]
-                        .into_iter()
-                        .flatten()
-                        .find(|&(t, _)| t != thread);
-                    if let Some((rt, rpc)) = other {
-                        self.report(SharedRace {
-                            first_pc: rpc,
-                            first_thread: rt,
-                            second_pc: pc,
-                            second_thread: thread,
-                            word,
-                            write_write: false,
-                        });
-                    }
-                }
-                let cell = self.cells.entry(word).or_default();
-                cell.write = Some((self.epoch, thread, pc));
+                cell.write = Some((epoch, thread, pc));
             } else {
-                let cell = self.cells.entry(word).or_default();
-                if cell.read_epoch != self.epoch {
-                    cell.read_epoch = self.epoch;
+                if cell.read_epoch != epoch {
+                    cell.read_epoch = epoch;
                     cell.min_reader = None;
                     cell.max_reader = None;
                 }
@@ -349,6 +330,34 @@ impl RaceSanitizer {
                 match cell.max_reader {
                     Some((t, _)) if t >= thread => {}
                     _ => cell.max_reader = Some((thread, pc)),
+                }
+            }
+            if let Some((we, wt, wpc)) = seen.write {
+                if we == epoch && wt != thread {
+                    self.report(SharedRace {
+                        first_pc: wpc,
+                        first_thread: wt,
+                        second_pc: pc,
+                        second_thread: thread,
+                        word,
+                        write_write: is_store,
+                    });
+                }
+            }
+            if is_store && seen.read_epoch == epoch {
+                let other = [seen.min_reader, seen.max_reader]
+                    .into_iter()
+                    .flatten()
+                    .find(|&(t, _)| t != thread);
+                if let Some((rt, rpc)) = other {
+                    self.report(SharedRace {
+                        first_pc: rpc,
+                        first_thread: rt,
+                        second_pc: pc,
+                        second_thread: thread,
+                        word,
+                        write_write: false,
+                    });
                 }
             }
         }
@@ -406,6 +415,13 @@ struct GlobalShadowCell {
     max_reader: Option<(u64, usize)>,
 }
 
+/// Words per page of [`GlobalRaceSanitizer`]'s shadow page table.
+const SHADOW_PAGE_WORDS: usize = 1024;
+
+/// Highest global word an instruction can address: a `u32` base plus an
+/// `i32` offset, so just under 6 GiB of byte addresses.
+const MAX_GLOBAL_WORD: u64 = (u32::MAX as u64 + i32::MAX as u64) / 4;
+
 /// Shadow-memory sanitizer for *inter-thread-block* global races across
 /// one kernel launch.
 ///
@@ -427,10 +443,20 @@ struct GlobalShadowCell {
 /// threadblock, then forward every `global_access` hook. Raced-on words
 /// stay *tainted* for the rest of the launch so redundancy claims that
 /// read them can be downgraded.
+///
+/// The shadow is a hash-free page table: page `word >> 10` is a boxed
+/// run of 1024 cells, allocated the first time the launch touches one of
+/// its words, so each access costs one indexed lookup. Addresses are a
+/// `u32` base plus an `i32` offset, which bounds the table at about
+/// 1.5 M page slots (12 MiB) even for a wild address. A launch's table
+/// reaches only its highest touched page, and only touched pages hold
+/// cells.
 #[derive(Debug, Default)]
 pub struct GlobalRaceSanitizer {
     block: u64,
-    cells: HashMap<u64, GlobalShadowCell>,
+    /// Page table of shadow cells: page `word >> 10` holds the
+    /// [`SHADOW_PAGE_WORDS`] cells of its words, allocated on first touch.
+    pages: Vec<Option<Box<[GlobalShadowCell; SHADOW_PAGE_WORDS]>>>,
     tainted: HashSet<u64>,
     races: Vec<GlobalRace>,
     reported: HashSet<(usize, usize)>,
@@ -498,28 +524,45 @@ impl GlobalRaceSanitizer {
         let block = self.block;
         for &(_lane, addr) in addrs {
             let word = addr / 4;
-            let seen = self.cells.get(&word).copied().unwrap_or_default();
+            let cell = self.cell_mut(word);
+            let seen = *cell;
             if is_store {
-                if let Some((wb, wpc, watom)) = seen.write {
-                    if wb != block {
-                        let same_commuting = matches!(
+                cell.write = Some((block, pc, atom));
+            } else {
+                match cell.min_reader {
+                    Some((b, _)) if b <= block => {}
+                    _ => cell.min_reader = Some((block, pc)),
+                }
+                match cell.max_reader {
+                    Some((b, _)) if b >= block => {}
+                    _ => cell.max_reader = Some((block, pc)),
+                }
+            }
+            if let Some((wb, wpc, watom)) = seen.write {
+                // A plain read of a word any other block wrote — even
+                // atomically — observes an order-dependent value; two
+                // writes race unless both are the same commuting atomic.
+                if wb != block {
+                    let same_commuting = is_store
+                        && matches!(
                             (atom, watom),
                             (Some(x), Some(y)) if x == y && x != AtomOp::Exch
                         );
-                        if same_commuting {
-                            self.commutative_overlap = true;
-                        } else {
-                            self.report(GlobalRace {
-                                first_pc: wpc,
-                                first_block: wb,
-                                second_pc: pc,
-                                second_block: block,
-                                word,
-                                write_write: true,
-                            });
-                        }
+                    if same_commuting {
+                        self.commutative_overlap = true;
+                    } else {
+                        self.report(GlobalRace {
+                            first_pc: wpc,
+                            first_block: wb,
+                            second_pc: pc,
+                            second_block: block,
+                            word,
+                            write_write: is_store,
+                        });
                     }
                 }
+            }
+            if is_store {
                 let other = [seen.min_reader, seen.max_reader]
                     .into_iter()
                     .flatten()
@@ -534,34 +577,32 @@ impl GlobalRaceSanitizer {
                         write_write: false,
                     });
                 }
-                let cell = self.cells.entry(word).or_default();
-                cell.write = Some((block, pc, atom));
-            } else {
-                if let Some((wb, wpc, _)) = seen.write {
-                    // A plain read of a word any other block wrote — even
-                    // atomically — observes an order-dependent value.
-                    if wb != block {
-                        self.report(GlobalRace {
-                            first_pc: wpc,
-                            first_block: wb,
-                            second_pc: pc,
-                            second_block: block,
-                            word,
-                            write_write: false,
-                        });
-                    }
-                }
-                let cell = self.cells.entry(word).or_default();
-                match cell.min_reader {
-                    Some((b, _)) if b <= block => {}
-                    _ => cell.min_reader = Some((block, pc)),
-                }
-                match cell.max_reader {
-                    Some((b, _)) if b >= block => {}
-                    _ => cell.max_reader = Some((block, pc)),
-                }
             }
         }
+    }
+
+    /// The shadow cell of global `word`, creating its page on first touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `word` lies beyond the reach of a `u32` base plus an
+    /// `i32` offset, the widest address the ISA can form.
+    fn cell_mut(&mut self, word: u64) -> &mut GlobalShadowCell {
+        assert!(
+            word <= MAX_GLOBAL_WORD,
+            "global word {word:#x} is beyond the ISA's u32 base + i32 offset reach"
+        );
+        let page = (word / SHADOW_PAGE_WORDS as u64) as usize;
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
+        }
+        let cells = self.pages[page].get_or_insert_with(|| {
+            vec![GlobalShadowCell::default(); SHADOW_PAGE_WORDS]
+                .into_boxed_slice()
+                .try_into()
+                .expect("a page is SHADOW_PAGE_WORDS cells")
+        });
+        &mut cells[(word % SHADOW_PAGE_WORDS as u64) as usize]
     }
 }
 
@@ -569,6 +610,7 @@ impl GlobalRaceSanitizer {
 mod tests {
     use super::*;
     use simt_isa::{KernelBuilder, LaunchConfig, MemSpace, SpecialReg, Value};
+    use std::collections::{BTreeSet, HashMap};
 
     /// Counting observer: every before has a matching after, occurrences
     /// are 1-based and contiguous per (warp, pc).
@@ -577,28 +619,34 @@ mod tests {
         before: u64,
         after: u64,
         max_occurrence: u32,
+        /// Last occurrence seen per (warp, pc).
+        last: HashMap<(usize, usize), u32>,
     }
 
     impl FunctionalObserver for Counter {
         fn before_instruction(
             &mut self,
-            _w: usize,
-            _pc: usize,
+            w: usize,
+            pc: usize,
             occ: u32,
             _i: &Instruction,
             _warp: &Warp,
         ) {
+            let last = self.last.entry((w, pc)).or_insert(0);
+            assert_eq!(occ, *last + 1, "warp {w} pc {pc}: occurrence skipped or repeated");
+            *last = occ;
             self.before += 1;
             self.max_occurrence = self.max_occurrence.max(occ);
         }
         fn after_instruction(
             &mut self,
-            _w: usize,
-            _pc: usize,
-            _occ: u32,
+            w: usize,
+            pc: usize,
+            occ: u32,
             _i: &Instruction,
             _warp: &Warp,
         ) {
+            assert_eq!(self.last.get(&(w, pc)), Some(&occ), "after does not match before");
             self.after += 1;
         }
     }
@@ -624,6 +672,50 @@ mod tests {
         assert_eq!(obs.max_occurrence, 1);
         // The store really happened.
         assert_eq!(mem.read_u32(buf + 4 * 63), 63);
+    }
+
+    #[test]
+    fn occurrences_count_per_warp_and_pc_through_a_divergent_loop() {
+        // Thread t loops (t & 3) + 1 times, so every warp diverges at the
+        // back edge and runs the body four times; a divergent `if` inside
+        // the body splits the warp again on every trip.
+        let mut b = KernelBuilder::new("divloop");
+        let t = b.special(SpecialReg::TidX);
+        let out = b.param(0);
+        let off = b.shl_imm(t, 2);
+        let addr = b.iadd(out, off);
+        let low = b.and(t, 3u32);
+        let trips = b.iadd(low, 1u32);
+        let acc = b.mov(0u32);
+        b.for_count(trips, |b, i| {
+            let bit = b.and(t, 1u32);
+            let odd = b.setp(simt_isa::CmpOp::Ne, bit, 0u32);
+            b.if_then(simt_isa::Guard::if_true(odd), |b| b.iadd_to(acc, acc, i));
+            b.iadd_to(acc, acc, 1u32);
+        });
+        b.store(MemSpace::Global, addr, acc, 0);
+        let ck = simt_compiler::compile(b.finish());
+
+        let mut mem = GlobalMemory::new();
+        let buf = mem.alloc(64 * 4);
+        let launch = LaunchConfig::new(1u32, Dim3::one_d(64)).with_params(vec![Value(buf as u32)]);
+        let mut obs = Counter::default();
+        run_tb_functional(&ck, &launch, Dim3::three_d(0, 0, 0), &mut mem, &mut obs);
+        assert_eq!(obs.before, obs.after);
+        assert_eq!(obs.max_occurrence, 4, "the body runs once per trip of the longest lane");
+        // In both warps every pc ran: once outside the loop, four times
+        // inside it (the `if` body too, since lanes 3, 7, ... are odd).
+        for w in 0..2 {
+            let counts: BTreeSet<u32> =
+                (0..ck.kernel.instrs.len()).map(|pc| obs.last[&(w, pc)]).collect();
+            assert_eq!(counts, BTreeSet::from([1, 4]), "warp {w}");
+        }
+        // Lane t counted trips + the odd-lane sum of 0..trips.
+        for t in 0..64u32 {
+            let n = (t & 3) + 1;
+            let want = n + if t & 1 == 1 { n * (n - 1) / 2 } else { 0 };
+            assert_eq!(mem.read_u32(buf + 4 * u64::from(t)), want, "lane {t}");
+        }
     }
 
     #[test]
@@ -665,6 +757,131 @@ mod tests {
         s.set_block(1);
         s.record_access(1, &[(0, 64)], true, None);
         assert_eq!(s.races().len(), 1);
+    }
+
+    #[test]
+    fn global_sanitizer_pages_are_independent_and_reach_past_4_gib() {
+        const PAGE_BYTES: u64 = 4 * SHADOW_PAGE_WORDS as u64;
+        let high = 1u64 << 32;
+        let mut s = GlobalRaceSanitizer::new();
+        s.set_block(0);
+        s.record_access(10, &[(0, 0), (1, high), (2, PAGE_BYTES + 8)], true, None);
+        s.record_access(11, &[(0, 3 * PAGE_BYTES)], false, None);
+        s.set_block(1);
+        // Word 2 shares its page slot offset with the written word 1026
+        // but lives in page 0: no collision.
+        s.record_access(20, &[(0, 8)], true, None);
+        assert!(s.races().is_empty());
+        // Write/write on word 0, read/write on a word above 2^32 (which
+        // must not alias word 0), write after another block's read.
+        s.record_access(21, &[(0, 0)], true, None);
+        s.record_access(22, &[(5, high)], false, None);
+        s.record_access(23, &[(7, 3 * PAGE_BYTES)], true, None);
+        let race = |first_pc, second_pc, word, write_write| GlobalRace {
+            first_pc,
+            first_block: 0,
+            second_pc,
+            second_block: 1,
+            word,
+            write_write,
+        };
+        assert_eq!(
+            s.races(),
+            &[
+                race(10, 21, 0, true),
+                race(10, 22, high / 4, false),
+                race(11, 23, 3 * SHADOW_PAGE_WORDS as u64, false),
+            ]
+        );
+        assert!(s.is_tainted(0) && s.is_tainted(high / 4));
+        assert!(!s.is_tainted(2) && !s.is_tainted(SHADOW_PAGE_WORDS as u64 + 2));
+
+        // A block never races with itself, in any page.
+        let mut s = GlobalRaceSanitizer::new();
+        s.set_block(4);
+        s.record_access(0, &[(0, high), (1, PAGE_BYTES)], true, None);
+        s.record_access(1, &[(0, high), (1, PAGE_BYTES)], false, None);
+        s.record_access(2, &[(0, high)], true, Some(AtomOp::Exch));
+        assert!(s.races().is_empty() && !s.commutative_overlap());
+
+        // The same-op exemption and the exch hazard hold above 4 GiB and
+        // at word 0 alike.
+        for addr in [0, high] {
+            let mut s = GlobalRaceSanitizer::new();
+            s.set_block(0);
+            s.record_access(0, &[(0, addr)], true, Some(AtomOp::Add));
+            s.set_block(1);
+            s.record_access(1, &[(0, addr)], true, Some(AtomOp::Add));
+            assert!(s.races().is_empty() && s.commutative_overlap());
+            s.set_block(2);
+            s.record_access(2, &[(0, addr)], true, Some(AtomOp::Exch));
+            assert_eq!(
+                s.races(),
+                &[GlobalRace {
+                    first_pc: 1,
+                    first_block: 1,
+                    second_pc: 2,
+                    second_block: 2,
+                    word: addr / 4,
+                    write_write: true,
+                }]
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the ISA")]
+    fn global_sanitizer_rejects_an_unreachable_address() {
+        let mut s = GlobalRaceSanitizer::new();
+        s.record_access(0, &[(0, u64::MAX - 3)], true, None);
+    }
+
+    #[test]
+    fn shared_sanitizer_tracks_epochs_per_word() {
+        let mut s = RaceSanitizer::new(32);
+        // Thread 1 writes word 100, then reads it back: no race.
+        s.shared_access(0, 0, 1, &[(1, 400)], true);
+        s.shared_access(0, 1, 1, &[(1, 400)], false);
+        assert!(s.races().is_empty());
+        // Thread 32 (warp 1, lane 0) reads it in the same epoch.
+        s.shared_access(1, 2, 1, &[(0, 400)], false);
+        // Thread 33 writes word 0 after threads 1 and 32 read word 100.
+        s.shared_access(1, 3, 1, &[(1, 0), (1, 400)], true);
+        assert_eq!(
+            s.races(),
+            &[
+                SharedRace {
+                    first_pc: 0,
+                    first_thread: 1,
+                    second_pc: 2,
+                    second_thread: 32,
+                    word: 100,
+                    write_write: false,
+                },
+                SharedRace {
+                    first_pc: 0,
+                    first_thread: 1,
+                    second_pc: 3,
+                    second_thread: 33,
+                    word: 100,
+                    write_write: true,
+                },
+                SharedRace {
+                    first_pc: 1,
+                    first_thread: 1,
+                    second_pc: 3,
+                    second_thread: 33,
+                    word: 100,
+                    write_write: false,
+                },
+            ]
+        );
+        assert_eq!(s.tainted_words(), &HashSet::from([100]));
+        // After a barrier the same accesses by other threads are ordered.
+        s.barrier_release();
+        s.shared_access(0, 4, 1, &[(2, 0), (2, 400)], true);
+        s.shared_access(1, 5, 1, &[(3, 4)], false);
+        assert_eq!(s.races().len(), 3);
     }
 
     #[test]

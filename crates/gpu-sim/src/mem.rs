@@ -225,16 +225,14 @@ pub fn coalesce_lines(addrs: impl Iterator<Item = u64>) -> Vec<u64> {
 /// mapping to one bank (same-word access broadcasts for free).
 #[must_use]
 pub fn smem_conflict_degree(addrs: impl Iterator<Item = u64>) -> u32 {
-    let mut per_bank: HashMap<u64, Vec<u64>> = HashMap::new();
-    for a in addrs {
-        let word = a / 4;
-        let bank = word % 32;
-        let v = per_bank.entry(bank).or_default();
-        if !v.contains(&word) {
-            v.push(word);
-        }
+    let mut words: Vec<u64> = addrs.map(|a| a / 4).collect();
+    words.sort_unstable();
+    words.dedup();
+    let mut per_bank = [0u32; 32];
+    for w in words {
+        per_bank[(w % 32) as usize] += 1;
     }
-    per_bank.values().map(|v| v.len() as u32).max().unwrap_or(1).max(1)
+    per_bank.into_iter().max().unwrap_or(0).max(1)
 }
 
 /// The shared L2 + DRAM service model: a token-bucket bandwidth limiter

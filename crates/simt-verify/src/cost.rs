@@ -343,6 +343,24 @@ pub fn estimate(
     gc: &GpuConfig,
     technique: &Technique,
 ) -> CostEstimate {
+    estimate_with(ck, launch, gc, technique, &mem_envelope(ck, launch))
+}
+
+/// The mask-free memory envelope of every access of `ck` under `launch`,
+/// by pc: the same for every technique, so [`estimate_family`] computes it
+/// once per corner.
+fn mem_envelope(ck: &CompiledKernel, launch: &LaunchConfig) -> BTreeMap<usize, MemPredKind> {
+    predict_envelope(ck, launch, launch.warp_size).into_iter().map(|p| (p.pc, p.kind)).collect()
+}
+
+/// [`estimate`] with the launch's memory envelope already computed.
+fn estimate_with(
+    ck: &CompiledKernel,
+    launch: &LaunchConfig,
+    gc: &GpuConfig,
+    technique: &Technique,
+    mempred: &BTreeMap<usize, MemPredKind>,
+) -> CostEstimate {
     let kernel = &ck.kernel;
     let cfg = &ck.cfg;
     let plan = LaunchPlan::new(ck, launch);
@@ -356,10 +374,6 @@ pub fn estimate(
     let (in_states, _divergent) =
         fixpoint_with_divergence(kernel, cfg, GridCtx::generic(launch.block.z), true);
     let trips = infer_trips(kernel, cfg, &doms, &nloops, launch, &in_states);
-    let mempred: BTreeMap<usize, MemPredKind> = predict_envelope(ck, launch, launch.warp_size)
-        .into_iter()
-        .map(|p| (p.pc, p.kind))
-        .collect();
 
     let mut report = Diagnostics::new(kernel.name.clone());
     let mut loops = Vec::new();
@@ -643,13 +657,14 @@ pub fn estimate_family(
     techniques: &[Technique],
 ) -> Vec<FamilyCostBracket> {
     let corners = family.corners(reference);
+    let envelopes: Vec<_> = corners.iter().map(|corner| mem_envelope(ck, corner)).collect();
     techniques
         .iter()
         .map(|t| {
             let mut min_cycles = u64::MAX;
             let mut max_cycles = Some(0u64);
-            for corner in &corners {
-                let e = estimate(ck, corner, gc, t);
+            for (corner, envelope) in corners.iter().zip(&envelopes) {
+                let e = estimate_with(ck, corner, gc, t, envelope);
                 min_cycles = min_cycles.min(e.min_cycles);
                 max_cycles = match (max_cycles, e.max_cycles) {
                     (Some(a), Some(b)) => Some(a.max(b)),

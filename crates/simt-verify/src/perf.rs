@@ -138,7 +138,8 @@ fn residues(f: Affine) -> Vec<i64> {
 }
 
 /// Per-execution degree/line bounds for one access, over every executing
-/// warp and every feasible constant residue.
+/// warp and every feasible constant residue. `lanes` is ascending, so each
+/// warp's lanes form one contiguous run.
 fn bound_access(
     f: Affine,
     lanes: &[u32],
@@ -147,14 +148,13 @@ fn bound_access(
     warp_size: u32,
     shared: bool,
 ) -> Result<(u32, u32, u32), String> {
-    let nwarps = lanes.iter().map(|&t| t / warp_size).max().unwrap_or(0) + 1;
+    let residues = residues(f);
     let mut min_v = u32::MAX;
     let mut max_v = 0u32;
     let mut widest = 0u32;
-    for w in 0..nwarps {
-        let offs: Vec<i64> = lanes
+    for warp in lanes.chunk_by(|&s, &t| s / warp_size == t / warp_size) {
+        let offs: Vec<i64> = warp
             .iter()
-            .filter(|&&t| t / warp_size == w)
             .map(|&t| {
                 let tx = i64::from(t % bx);
                 let ty = i64::from((t / bx) % by);
@@ -163,11 +163,8 @@ fn bound_access(
                     .ok_or_else(|| "address coefficients overflow the model".to_string())
             })
             .collect::<Result<_, _>>()?;
-        if offs.is_empty() {
-            continue;
-        }
         widest = widest.max(offs.len() as u32);
-        for r in residues(f) {
+        for &r in &residues {
             let addrs: Vec<u64> = offs
                 .iter()
                 .map(|&o| {
@@ -401,7 +398,7 @@ pub fn validate(predictions: &[MemPrediction], stats: &SimStats) -> Vec<Validati
 mod tests {
     use super::*;
     use simt_compiler::compile;
-    use simt_isa::{KernelBuilder, SpecialReg};
+    use simt_isa::{Dim3, KernelBuilder, SpecialReg};
 
     fn launch_1d() -> LaunchConfig {
         LaunchConfig::new(1u32, 64u32)
@@ -504,6 +501,44 @@ mod tests {
         assert_eq!(
             preds[0].kind,
             MemPredKind::GlobalCoalesce { min_lines: 1, max_lines: 1, ideal_lines: 1 }
+        );
+    }
+
+    #[test]
+    fn envelope_groups_a_partial_block_by_warp() {
+        // An 8x10 block is 80 threads: warps 0 and 1 hold rows 0-3 and
+        // 4-7, warp 2 is short (rows 8-9). Only tid.x < 3 executes, so
+        // each warp's lanes are three of every eight: 12, 12 and 6.
+        let mut b = KernelBuilder::new("partial");
+        let tx = b.special(SpecialReg::TidX);
+        let ty = b.special(SpecialReg::TidY);
+        let smem = b.alloc_shared(10 * 128);
+        let p = b.setp(simt_isa::CmpOp::Lt, tx, 3u32);
+        // Shared word 32*ty + tx: bank tx, one distinct word per row.
+        let row = b.shl_imm(ty, 7);
+        let col = b.shl_imm(tx, 2);
+        let rc = b.iadd(row, col);
+        let sa = b.iadd(rc, smem);
+        // Global byte 128*(tx + 8*ty): every thread its own line.
+        let gx = b.shl_imm(tx, 7);
+        let gy = b.shl_imm(ty, 10);
+        let ga = b.iadd(gx, gy);
+        for (space, addr) in [(MemSpace::Shared, sa), (MemSpace::Global, ga)] {
+            b.emit(
+                simt_isa::Instruction::new(Op::St(space), None, None, vec![addr.into(), tx.into()])
+                    .with_guard(simt_isa::Guard::if_true(p)),
+            );
+        }
+        let ck = compile(b.finish());
+        let preds = predict_envelope(&ck, &LaunchConfig::new(1u32, Dim3::two_d(8, 10)), 32);
+        // Per warp, each of banks 0-2 serves one word per row: degree 4
+        // for the two full warps, 2 for the short one.
+        assert_eq!(preds[0].kind, MemPredKind::SharedConflict { min_degree: 2, max_degree: 4 });
+        // One line per executing lane: 12, 12 and 6; the widest warp's 12
+        // words would fit one line.
+        assert_eq!(
+            preds[1].kind,
+            MemPredKind::GlobalCoalesce { min_lines: 6, max_lines: 12, ideal_lines: 1 }
         );
     }
 }
