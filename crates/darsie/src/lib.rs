@@ -12,7 +12,9 @@
 //! * [`MajorityMask`] — one bit per warp marking who is on the TB-majority
 //!   control-flow path (Section 4.3.3);
 //! * [`DarsieConfig`] / [`DarsieStats`] — knobs and activity counters
-//!   consumed by the timing and energy models.
+//!   consumed by the timing and energy models;
+//! * [`VecMap`] — the small sorted-`Vec` map the per-TB state is kept in,
+//!   ordered by key so digests and release loops never sort.
 //!
 //! The structures are pure state machines: the GPU simulator drives them
 //! from its fetch stage and attaches the architectural values. This keeps
@@ -24,6 +26,7 @@ pub mod majority;
 pub mod rename;
 pub mod skip_table;
 pub mod stats;
+pub mod vecmap;
 
 pub use coalescer::PcCoalescer;
 pub use config::DarsieConfig;
@@ -31,6 +34,7 @@ pub use majority::MajorityMask;
 pub use rename::RenameState;
 pub use skip_table::{ProbeOutcome, SkipEntry, SkipTable};
 pub use stats::DarsieStats;
+pub use vecmap::VecMap;
 
 /// A set of warps within one threadblock, one bit per warp slot (the paper
 /// allows at most 32 warps per TB, hence a `u32`).

@@ -14,24 +14,44 @@
 //! the access counts the energy model charges.
 
 use crate::stats::DarsieStats;
-use std::collections::HashMap;
+use crate::VecMap;
 
 /// A `<reg#, version#>` pair naming one live renamed value.
 pub type RegVersion = (u8, u32);
 
-/// Per-threadblock renaming state.
+/// Per-threadblock renaming state. Every table is an ordered
+/// [`VecMap`], so iteration (digest folds, warp release) follows key
+/// order by construction.
 #[derive(Debug, Clone)]
 pub struct RenameState {
     /// Physical registers still free for renaming.
     free: Vec<u16>,
     /// Live versions: `<reg, version>` -> (physical register, reference
     /// mask of warps still bound to this version).
-    versions: HashMap<RegVersion, (u16, u32)>,
+    versions: VecMap<RegVersion, (u16, u32)>,
     /// Rename table: per warp, per named register, the bound version.
-    bindings: HashMap<(u32, u8), u32>,
+    bindings: VecMap<(u32, u8), u32>,
     /// Next version number per named register.
-    next_version: HashMap<u8, u32>,
+    next_version: VecMap<u8, u32>,
     capacity: usize,
+}
+
+/// Drops `warp`'s reference to `<reg, version>`, returning the physical
+/// register to `free` when it was the last one.
+fn unref(
+    versions: &mut VecMap<RegVersion, (u16, u32)>,
+    free: &mut Vec<u16>,
+    reg: u8,
+    version: u32,
+    warp: u32,
+) {
+    if let Some(e) = versions.get_mut(&(reg, version)) {
+        e.1 &= !(1 << warp);
+        if e.1 == 0 {
+            let (preg, _) = versions.remove(&(reg, version)).expect("present");
+            free.push(preg);
+        }
+    }
 }
 
 impl RenameState {
@@ -44,9 +64,9 @@ impl RenameState {
     pub fn new(capacity: usize) -> RenameState {
         RenameState {
             free: (0..capacity as u16).rev().collect(),
-            versions: HashMap::new(),
-            bindings: HashMap::new(),
-            next_version: HashMap::new(),
+            versions: VecMap::new(),
+            bindings: VecMap::new(),
+            next_version: VecMap::new(),
             capacity,
         }
     }
@@ -74,7 +94,7 @@ impl RenameState {
         stats: &mut DarsieStats,
     ) -> Option<(u32, u16)> {
         let preg = self.free.pop()?;
-        let v = self.next_version.entry(reg).or_insert(0);
+        let v = self.next_version.get_or_insert_with(reg, || 0);
         *v += 1;
         let version = *v;
         self.versions.insert((reg, version), (preg, 1 << leader));
@@ -104,22 +124,12 @@ impl RenameState {
         }
         if let Some(old) = self.bindings.insert((warp, reg), version) {
             if old != version {
-                self.unref(reg, old, warp);
+                unref(&mut self.versions, &mut self.free, reg, old, warp);
             }
         }
         let e = self.versions.get_mut(&(reg, version)).expect("checked live above");
         e.1 |= 1 << warp;
         Some(e.0)
-    }
-
-    fn unref(&mut self, reg: u8, version: u32, warp: u32) {
-        if let Some(e) = self.versions.get_mut(&(reg, version)) {
-            e.1 &= !(1 << warp);
-            if e.1 == 0 {
-                let (preg, _) = self.versions.remove(&(reg, version)).expect("present");
-                self.free.push(preg);
-            }
-        }
     }
 
     /// Looks up `warp`'s binding for `reg`, counting the rename-table probe
@@ -136,7 +146,7 @@ impl RenameState {
     /// the last reference goes.
     pub fn unbind(&mut self, warp: u32, reg: u8) {
         if let Some(version) = self.bindings.remove(&(warp, reg)) {
-            self.unref(reg, version, warp);
+            unref(&mut self.versions, &mut self.free, reg, version, warp);
         }
     }
 
@@ -152,23 +162,17 @@ impl RenameState {
 
     /// Releases every binding `warp` holds (the warp diverged off the
     /// majority path — it first copies values to its private space — or
-    /// exited). Frees versions that lose their last reference.
+    /// exited). Frees versions that lose their last reference, in register
+    /// order: the bindings are keyed `(warp, reg)`, so the release order,
+    /// which decides how physical registers stack back onto the freelist
+    /// (i.e. which preg and RF bank the next allocation gets), is fixed.
     pub fn release_warp(&mut self, warp: u32) {
-        let mut owned: Vec<(u8, u32)> = self
-            .bindings
-            .iter()
-            .filter(|((w, _), _)| *w == warp)
-            .map(|((_, r), v)| (*r, *v))
-            .collect();
-        // Release in register order: the iteration above follows hash
-        // order, which varies between processes, and the release order
-        // decides how physical registers stack back onto the freelist —
-        // i.e. which preg (and RF bank) the next allocation gets.
-        owned.sort_unstable();
-        for (reg, version) in owned {
-            self.bindings.remove(&(warp, reg));
-            self.unref(reg, version, warp);
+        for (&(w, reg), &version) in self.bindings.iter() {
+            if w == warp {
+                unref(&mut self.versions, &mut self.free, reg, version, warp);
+            }
         }
+        self.bindings.retain(|&(w, _), _| w != warp);
     }
 
     /// The vector-RF bank a renamed physical register lives in, given the
@@ -185,9 +189,8 @@ impl RenameState {
     }
 
     /// Folds the full renaming state into an FNV-style digest accumulator
-    /// (same constants as the simulator's digest layer). HashMap-backed
-    /// tables are folded in sorted key order so the digest never observes
-    /// hash iteration order.
+    /// (same constants as the simulator's digest layer). The tables are
+    /// ordered maps, so they fold in key order as they iterate.
     pub fn digest_fold(&self, h: &mut u64) {
         const FNV_PRIME: u64 = 0x1000_0000_01b3;
         let mut f = |w: u64| {
@@ -198,21 +201,15 @@ impl RenameState {
         for &p in &self.free {
             f(u64::from(p));
         }
-        let mut versions: Vec<_> = self.versions.iter().collect();
-        versions.sort_unstable_by_key(|(&k, _)| k);
-        for (&(reg, version), &(preg, refs)) in versions {
+        for (&(reg, version), &(preg, refs)) in self.versions.iter() {
             f((u64::from(reg) << 32) | u64::from(version));
             f((u64::from(preg) << 32) | u64::from(refs));
         }
-        let mut bindings: Vec<_> = self.bindings.iter().collect();
-        bindings.sort_unstable_by_key(|(&k, _)| k);
-        for (&(warp, reg), &version) in bindings {
+        for (&(warp, reg), &version) in self.bindings.iter() {
             f((u64::from(warp) << 8) | u64::from(reg));
             f(u64::from(version));
         }
-        let mut next: Vec<_> = self.next_version.iter().collect();
-        next.sort_unstable_by_key(|(&k, _)| k);
-        for (&reg, &v) in next {
+        for (&reg, &v) in self.next_version.iter() {
             f((u64::from(reg) << 32) | u64::from(v));
         }
     }

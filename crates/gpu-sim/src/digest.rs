@@ -27,8 +27,9 @@
 //! Deliberately excluded from the digests: statistics counters (they are
 //! *outputs*, compared separately), profiler state, the event ring, and
 //! per-cycle transients that never live across a cycle boundary (the PC
-//! coalescer's port grants). HashMap-backed state is always folded in
-//! sorted key order so the digest never observes hash iteration order.
+//! coalescer's port grants, the SM's scratch buffers). Keyed state is
+//! kept in ordered maps and folded in key order as it iterates, so no
+//! digest ever observes an iteration order that could vary between runs.
 
 /// FNV-1a offset basis (the same constant
 /// [`GlobalMemory::fingerprint`](crate::GlobalMemory::fingerprint) uses).

@@ -27,7 +27,7 @@ pub struct ExecContext<'a> {
 }
 
 /// Timing-relevant outcome of executing an instruction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecEffect {
     /// Ordinary ALU/move work; destination(s) written.
     None,
@@ -43,13 +43,12 @@ pub enum ExecEffect {
     Barrier,
     /// `exit` reached for the current path.
     Exit,
-    /// A memory operation; per-lane byte addresses for coalescing /
-    /// bank-conflict analysis.
+    /// A memory operation. Its `(lane, byte address)` pairs, for
+    /// coalescing and bank-conflict analysis, are in the buffer the caller
+    /// passed to [`execute`].
     Memory {
         /// Address space accessed.
         space: MemSpace,
-        /// `(lane, byte address)` for each participating lane.
-        addrs: Vec<(u32, u64)>,
         /// True for stores.
         is_store: bool,
         /// True for atomics.
@@ -163,7 +162,17 @@ fn compare(cmp: CmpOp, float: bool, a: u32, b: u32) -> bool {
 /// Executes `instr` for every active lane of `warp` whose guard passes.
 /// Returns the timing-relevant effect. Does **not** move the warp's PC;
 /// the pipeline does that (branches via [`Warp::take_branch`]).
-pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> ExecEffect {
+///
+/// `addrs` is the caller's reusable buffer: it is cleared, and a memory
+/// instruction fills it with one `(lane, byte address)` pair per
+/// participating lane, in lane order.
+pub fn execute(
+    warp: &mut Warp,
+    instr: &Instruction,
+    ctx: &mut ExecContext<'_>,
+    addrs: &mut Vec<(u32, u64)>,
+) -> ExecEffect {
+    addrs.clear();
     let active = warp.active_mask();
     let ws = warp.warp_size();
     // Lanes that exist, are on the active path, and pass the guard.
@@ -221,7 +230,6 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
         }
         Op::Ld(space) => {
             let d = instr.dst.expect("ld has a dst");
-            let mut addrs = Vec::with_capacity(eff_mask.count_ones() as usize);
             for lane in 0..ws {
                 if eff_mask & (1 << lane) == 0 {
                     continue;
@@ -239,10 +247,9 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
                 warp.set_reg(d, lane, v);
                 addrs.push((lane, addr));
             }
-            ExecEffect::Memory { space, addrs, is_store: false, is_atomic: false }
+            ExecEffect::Memory { space, is_store: false, is_atomic: false }
         }
         Op::St(space) => {
-            let mut addrs = Vec::with_capacity(eff_mask.count_ones() as usize);
             for lane in 0..ws {
                 if eff_mask & (1 << lane) == 0 {
                     continue;
@@ -259,11 +266,10 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
                 }
                 addrs.push((lane, addr));
             }
-            ExecEffect::Memory { space, addrs, is_store: true, is_atomic: false }
+            ExecEffect::Memory { space, is_store: true, is_atomic: false }
         }
         Op::Atom(aop) => {
             let d = instr.dst.expect("atom has a dst");
-            let mut addrs = Vec::with_capacity(eff_mask.count_ones() as usize);
             // Lanes apply in lane order (deterministic serialization).
             for lane in 0..ws {
                 if eff_mask & (1 << lane) == 0 {
@@ -277,7 +283,7 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
                 warp.set_reg(d, lane, old);
                 addrs.push((lane, addr));
             }
-            ExecEffect::Memory { space: MemSpace::Global, addrs, is_store: true, is_atomic: true }
+            ExecEffect::Memory { space: MemSpace::Global, is_store: true, is_atomic: true }
         }
         // Everything else is a lane-wise ALU op.
         _ => {
@@ -324,13 +330,13 @@ mod tests {
         let mut ctx = ctx_fixture(&mut g, &mut sh);
         let mut w = warp4();
         let i = Instruction::new(Op::S2R(SpecialReg::TidX), Some(Reg(0)), None, vec![]);
-        execute(&mut w, &i, &mut ctx);
+        execute(&mut w, &i, &mut ctx, &mut Vec::new());
         assert_eq!(w.reg_vector(Reg(0)), vec![0, 1, 2, 3, 0, 1, 2, 3]);
         let i = Instruction::new(Op::S2R(SpecialReg::TidY), Some(Reg(1)), None, vec![]);
-        execute(&mut w, &i, &mut ctx);
+        execute(&mut w, &i, &mut ctx, &mut Vec::new());
         assert_eq!(w.reg_vector(Reg(1)), vec![0, 0, 0, 0, 1, 1, 1, 1]);
         let i = Instruction::new(Op::S2R(SpecialReg::CtaidX), Some(Reg(2)), None, vec![]);
-        execute(&mut w, &i, &mut ctx);
+        execute(&mut w, &i, &mut ctx, &mut Vec::new());
         assert_eq!(w.reg_vector(Reg(2)), vec![2; 8]);
     }
 
@@ -364,7 +370,7 @@ mod tests {
         }
         let i = Instruction::new(Op::Mov, Some(Reg(0)), None, vec![Operand::Imm(7)])
             .with_guard(Guard::if_true(Pred(0)));
-        execute(&mut w, &i, &mut ctx);
+        execute(&mut w, &i, &mut ctx, &mut Vec::new());
         assert_eq!(w.reg_vector(Reg(0)), vec![7, 100, 7, 100, 7, 100, 7, 100]);
     }
 
@@ -379,7 +385,7 @@ mod tests {
         }
         let i = Instruction::new(Op::Bra { target: 9 }, None, None, vec![])
             .with_guard(Guard::if_true(Pred(1)));
-        let e = execute(&mut w, &i, &mut ctx);
+        let e = execute(&mut w, &i, &mut ctx, &mut Vec::new());
         assert_eq!(e, ExecEffect::Branch { taken: 0b111, target: 9 });
     }
 
@@ -394,13 +400,13 @@ mod tests {
         w.set_reg(Reg(0), 0, 0x1000);
         let ld =
             Instruction::new(Op::Ld(MemSpace::Global), Some(Reg(1)), None, vec![Reg(0).into()]);
-        let e = execute(&mut w, &ld, &mut ctx);
+        let e = execute(&mut w, &ld, &mut ctx, &mut Vec::new());
         assert_eq!(w.reg(Reg(1), 0), 77);
         assert!(matches!(e, ExecEffect::Memory { space: MemSpace::Global, is_store: false, .. }));
 
         let lds =
             Instruction::new(Op::Ld(MemSpace::Shared), Some(Reg(2)), None, vec![Operand::Imm(12)]);
-        execute(&mut w, &lds, &mut ctx);
+        execute(&mut w, &lds, &mut ctx, &mut Vec::new());
         assert_eq!(w.reg(Reg(2), 0), 55);
 
         let st = Instruction::new(
@@ -410,7 +416,7 @@ mod tests {
             vec![Operand::Imm(0), Reg(1).into()],
         )
         .with_offset(8);
-        execute(&mut w, &st, &mut ctx);
+        execute(&mut w, &st, &mut ctx, &mut Vec::new());
         assert_eq!(ctx.shared[2], 77);
     }
 
@@ -431,7 +437,7 @@ mod tests {
         let ld =
             Instruction::new(Op::Ld(MemSpace::Param), Some(Reg(0)), None, vec![Operand::Imm(0)])
                 .with_offset(4);
-        execute(&mut w, &ld, &mut ctx);
+        execute(&mut w, &ld, &mut ctx, &mut Vec::new());
         assert_eq!(w.reg_vector(Reg(0)), vec![222; 8]);
     }
 
@@ -451,7 +457,7 @@ mod tests {
             None,
             vec![Reg(0).into(), Reg(1).into()],
         );
-        execute(&mut w, &at, &mut ctx);
+        execute(&mut w, &at, &mut ctx, &mut Vec::new());
         assert_eq!(ctx.global.read_u32(0x2000), 8);
         assert_eq!(w.reg_vector(Reg(2)), vec![0, 1, 2, 3, 4, 5, 6, 7], "old values per lane");
     }
@@ -467,7 +473,7 @@ mod tests {
             w.set_reg(Reg(0), lane, 42);
         }
         let i = Instruction::new(Op::Mov, Some(Reg(0)), None, vec![Operand::Imm(1)]);
-        execute(&mut w, &i, &mut ctx);
+        execute(&mut w, &i, &mut ctx, &mut Vec::new());
         assert_eq!(w.reg_vector(Reg(0)), vec![1, 1, 1, 1, 42, 42, 42, 42]);
     }
 }

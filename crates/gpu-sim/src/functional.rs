@@ -10,7 +10,7 @@
 //! no pipeline model — one instruction per warp per scheduling pass.
 
 use crate::exec::{execute, ExecContext, ExecEffect};
-use crate::mem::GlobalMemory;
+use crate::mem::{GlobalMemory, MAX_GLOBAL_ADDR};
 use crate::warp::{Warp, WarpState};
 use simt_compiler::CompiledKernel;
 use simt_isa::{AtomOp, Dim3, Instruction, LaunchConfig, MemSpace};
@@ -122,6 +122,7 @@ pub fn run_tb_functional<O: FunctionalObserver>(
     let num_instrs = ck.kernel.instrs.len();
     let mut occurrences = vec![0u32; num_warps * num_instrs];
     let mut at_barrier = vec![false; num_warps];
+    let mut addrs = Vec::with_capacity(ws as usize);
 
     loop {
         let mut progressed = false;
@@ -150,17 +151,17 @@ pub fn run_tb_functional<O: FunctionalObserver>(
                     block: launch.block,
                     ctaid,
                 };
-                execute(&mut warps[w], instr, &mut ctx)
+                execute(&mut warps[w], instr, &mut ctx, &mut addrs)
             };
             progressed = true;
 
-            if let ExecEffect::Memory { space, addrs, is_store, is_atomic } = &effect {
+            if let ExecEffect::Memory { space, is_store, is_atomic } = effect {
                 match space {
                     MemSpace::Shared => {
-                        observer.shared_access(w, pc, occurrence, addrs, *is_store);
+                        observer.shared_access(w, pc, occurrence, &addrs, is_store);
                     }
                     MemSpace::Global => {
-                        observer.global_access(w, pc, occurrence, addrs, *is_store, *is_atomic);
+                        observer.global_access(w, pc, occurrence, &addrs, is_store, is_atomic);
                     }
                     MemSpace::Param => {}
                 }
@@ -418,9 +419,8 @@ struct GlobalShadowCell {
 /// Words per page of [`GlobalRaceSanitizer`]'s shadow page table.
 const SHADOW_PAGE_WORDS: usize = 1024;
 
-/// Highest global word an instruction can address: a `u32` base plus an
-/// `i32` offset, so just under 6 GiB of byte addresses.
-const MAX_GLOBAL_WORD: u64 = (u32::MAX as u64 + i32::MAX as u64) / 4;
+/// Highest global word an instruction can address.
+const MAX_GLOBAL_WORD: u64 = MAX_GLOBAL_ADDR / 4;
 
 /// Shadow-memory sanitizer for *inter-thread-block* global races across
 /// one kernel launch.

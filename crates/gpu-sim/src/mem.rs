@@ -3,22 +3,48 @@
 
 use crate::config::GpuConfig;
 use crate::digest::{fold, splitmix64, FNV_OFFSET};
-use std::collections::{BTreeSet, HashMap};
 
 /// Words per allocation page of [`GlobalMemory`].
 const PAGE_WORDS: usize = 1024;
 
+/// Bytes per page of [`GlobalMemory`].
+const PAGE_BYTES: u64 = PAGE_WORDS as u64 * 4;
+
+/// Highest byte address an instruction can form: a `u32` base plus an
+/// `i32` offset, just under 6 GiB.
+pub(crate) const MAX_GLOBAL_ADDR: u64 = u32::MAX as u64 + i32::MAX as u64;
+
 /// Sparse word-addressable global memory. Addresses are byte addresses;
 /// accesses are 32-bit and must be 4-byte aligned (the simulator's ISA is
 /// word-oriented, like PTXPlus `u32` accesses).
+///
+/// The backing store is a hash-free page table: page `addr / 4096` is a
+/// boxed run of 1024 words, allocated the first time it is written, so
+/// every access is one indexed lookup. The table reaches only the highest
+/// page written; an address no instruction can form (beyond a `u32` base
+/// plus an `i32` offset) panics, which caps it at about 1.5 M slots.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalMemory {
-    pages: HashMap<u64, Box<[u32; PAGE_WORDS]>>,
+    pages: Vec<Option<Box<[u32; PAGE_WORDS]>>>,
     next_alloc: u64,
-    /// Pages written since the last digest epoch (see
-    /// [`GlobalMemory::epoch_digest`]). Sorted so the digest never
-    /// observes hash order.
-    touched: BTreeSet<u64>,
+    /// Per page: written since the last digest epoch.
+    dirty: Vec<bool>,
+    /// The dirty pages, in first-write order; sorted when an epoch folds
+    /// them (see [`GlobalMemory::epoch_digest`]).
+    touched: Vec<u64>,
+}
+
+/// Page number and word index of byte address `addr`.
+///
+/// # Panics
+///
+/// Panics on an unaligned address or one beyond [`MAX_GLOBAL_ADDR`].
+fn locate(addr: u64, what: &str) -> (usize, usize) {
+    assert_eq!(addr % 4, 0, "unaligned global {what} at {addr:#x}");
+    assert!(addr <= MAX_GLOBAL_ADDR, "global {what} beyond the addressable range at {addr:#x}");
+    // Reduce modulo PAGE_WORDS in u64 before narrowing: a truncating
+    // cast first would alias distant addresses on 32-bit targets.
+    ((addr / PAGE_BYTES) as usize, ((addr / 4) % PAGE_WORDS as u64) as usize)
 }
 
 impl GlobalMemory {
@@ -26,7 +52,7 @@ impl GlobalMemory {
     /// null-ish addresses fault loudly in tests).
     #[must_use]
     pub fn new() -> GlobalMemory {
-        GlobalMemory { pages: HashMap::new(), next_alloc: 0x1000, touched: BTreeSet::new() }
+        GlobalMemory { next_alloc: 0x1000, ..GlobalMemory::default() }
     }
 
     /// Reserves `bytes` of memory, returning the base address
@@ -41,43 +67,48 @@ impl GlobalMemory {
     ///
     /// # Panics
     ///
-    /// Panics on unaligned access.
+    /// Panics on unaligned access, or beyond the addressable range.
     #[must_use]
     pub fn read_u32(&self, addr: u64) -> u32 {
-        assert_eq!(addr % 4, 0, "unaligned global read at {addr:#x}");
-        // Reduce modulo PAGE_WORDS in u64 before narrowing: a truncating
-        // cast first would alias distant addresses on 32-bit targets.
-        let (page, idx) =
-            (addr / (PAGE_WORDS as u64 * 4), ((addr / 4) % PAGE_WORDS as u64) as usize);
-        self.pages.get(&page).map_or(0, |p| p[idx])
+        let (page, idx) = locate(addr, "read");
+        self.pages.get(page).and_then(Option::as_ref).map_or(0, |p| p[idx])
     }
 
     /// Writes the 32-bit word at byte address `addr`.
     ///
     /// # Panics
     ///
-    /// Panics on unaligned access.
+    /// Panics on unaligned access, or beyond the addressable range.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
-        assert_eq!(addr % 4, 0, "unaligned global write at {addr:#x}");
-        let (page, idx) =
-            (addr / (PAGE_WORDS as u64 * 4), ((addr / 4) % PAGE_WORDS as u64) as usize);
-        self.pages.entry(page).or_insert_with(|| Box::new([0; PAGE_WORDS]))[idx] = value;
-        self.touched.insert(page);
+        let (page, idx) = locate(addr, "write");
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
+            self.dirty.resize(page + 1, false);
+        }
+        self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_WORDS]))[idx] = value;
+        if !self.dirty[page] {
+            self.dirty[page] = true;
+            self.touched.push(page as u64);
+        }
     }
 
     /// Digest of the pages written since the last call (the digest
-    /// layer's per-epoch memory snapshot), clearing the touched set. Quiet
-    /// epochs fold nothing and return a constant.
+    /// layer's per-epoch memory snapshot), in ascending page order,
+    /// clearing the dirty set. Quiet epochs fold nothing and return a
+    /// constant.
     pub fn epoch_digest(&mut self) -> u64 {
         let mut h = FNV_OFFSET;
-        for page in std::mem::take(&mut self.touched) {
+        self.touched.sort_unstable();
+        for &page in &self.touched {
             fold(&mut h, page);
-            if let Some(words) = self.pages.get(&page) {
+            self.dirty[page as usize] = false;
+            if let Some(words) = &self.pages[page as usize] {
                 for &w in words.iter() {
                     fold(&mut h, u64::from(w));
                 }
             }
         }
+        self.touched.clear();
         splitmix64(h)
     }
 
@@ -121,16 +152,14 @@ impl GlobalMemory {
     /// A stable fingerprint of all touched memory, for equivalence tests.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut keys: Vec<&u64> = self.pages.keys().collect();
-        keys.sort_unstable();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for k in keys {
-            let page = &self.pages[k];
+        for (k, page) in self.pages.iter().enumerate() {
+            let Some(page) = page else { continue };
             // Skip all-zero pages: untouched and zero-filled are equal.
             if page.iter().all(|&w| w == 0) {
                 continue;
             }
-            h ^= *k;
+            h ^= k as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);
             for &w in page.iter() {
                 h ^= u64::from(w);
@@ -210,26 +239,65 @@ impl TagCache {
     }
 }
 
-/// Coalesces per-lane byte addresses into distinct 128-byte line
-/// transactions (the global memory coalescer of the LSU).
-#[must_use]
-pub fn coalesce_lines(addrs: impl Iterator<Item = u64>) -> Vec<u64> {
-    let mut lines: Vec<u64> = addrs.map(|a| a / GpuConfig::LINE_BYTES).collect();
-    lines.sort_unstable();
-    lines.dedup();
-    lines
+/// The distinct values of one warp access (at most 32 lanes), sorted
+/// ascending, in fixed storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneSet {
+    vals: [u64; 32],
+    len: usize,
 }
 
-/// Shared-memory bank-conflict degree: with 32 four-byte banks, the number
-/// of serialized passes is the maximum count of *distinct word addresses*
-/// mapping to one bank (same-word access broadcasts for free).
+impl LaneSet {
+    /// Collects `vals`, then sorts and dedups them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when given more than 32 values (one per lane).
+    fn distinct(vals: impl Iterator<Item = u64>) -> LaneSet {
+        let mut s = LaneSet { vals: [0; 32], len: 0 };
+        for v in vals {
+            assert!(s.len < 32, "a warp access has at most 32 lanes");
+            s.vals[s.len] = v;
+            s.len += 1;
+        }
+        let vals = &mut s.vals[..s.len];
+        vals.sort_unstable();
+        let mut n = 0;
+        for i in 0..vals.len() {
+            if n == 0 || vals[i] != vals[n - 1] {
+                vals[n] = vals[i];
+                n += 1;
+            }
+        }
+        s.len = n;
+        s
+    }
+}
+
+impl std::ops::Deref for LaneSet {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.vals[..self.len]
+    }
+}
+
+/// Coalesces one warp's per-lane byte addresses (at most 32) into the
+/// distinct 128-byte line transactions of the LSU's global memory
+/// coalescer, ascending.
+#[must_use]
+pub fn coalesce_lines(addrs: impl Iterator<Item = u64>) -> LaneSet {
+    LaneSet::distinct(addrs.map(|a| a / GpuConfig::LINE_BYTES))
+}
+
+/// Shared-memory bank-conflict degree of one warp access (at most 32
+/// lanes): with 32 four-byte banks, the number of serialized passes is the
+/// maximum count of *distinct word addresses* mapping to one bank
+/// (same-word access broadcasts for free).
 #[must_use]
 pub fn smem_conflict_degree(addrs: impl Iterator<Item = u64>) -> u32 {
-    let mut words: Vec<u64> = addrs.map(|a| a / 4).collect();
-    words.sort_unstable();
-    words.dedup();
     let mut per_bank = [0u32; 32];
-    for w in words {
+    for &w in LaneSet::distinct(addrs.map(|a| a / 4)).iter() {
         per_bank[(w % 32) as usize] += 1;
     }
     per_bank.into_iter().max().unwrap_or(0).max(1)
@@ -322,6 +390,64 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         b.write_u32(0x1000, 2);
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn epoch_digest_folds_dirty_pages_once_in_ascending_order() {
+        let page = |n: u64| n * PAGE_BYTES;
+        let mut m = GlobalMemory::new();
+        m.write_u32(page(5) + 8, 7);
+        m.write_u32(page(2), 3);
+        m.write_u32(page(5) + 12, 9);
+        // By hand: page 2 then page 5, each once, every word of each.
+        let mut expected = FNV_OFFSET;
+        for (n, words) in [(2, vec![(0, 3)]), (5, vec![(2, 7), (3, 9)])] {
+            fold(&mut expected, n);
+            let mut full = [0u32; PAGE_WORDS];
+            for (i, v) in words {
+                full[i] = v;
+            }
+            for w in full {
+                fold(&mut expected, u64::from(w));
+            }
+        }
+        assert_eq!(m.epoch_digest(), splitmix64(expected));
+        let quiet = splitmix64(FNV_OFFSET);
+        assert_eq!(m.epoch_digest(), quiet, "a quiet epoch folds nothing");
+        // The next epoch sees only the page written since.
+        m.write_u32(page(2) + 4, 1);
+        let mut only_two = FNV_OFFSET;
+        fold(&mut only_two, 2);
+        for i in 0..PAGE_WORDS {
+            fold(&mut only_two, [3u32, 1].get(i).map_or(0, |&v| u64::from(v)));
+        }
+        assert_eq!(m.epoch_digest(), splitmix64(only_two));
+        assert_eq!(m.epoch_digest(), quiet);
+    }
+
+    #[test]
+    fn global_memory_reaches_past_4_gib() {
+        let mut m = GlobalMemory::new();
+        let high = 1u64 << 32;
+        assert_eq!(m.read_u32(high), 0);
+        m.write_u32(high, 0xabcd);
+        m.write_u32(MAX_GLOBAL_ADDR & !3, 5);
+        assert_eq!(m.read_u32(high), 0xabcd);
+        assert_eq!(m.read_u32(MAX_GLOBAL_ADDR & !3), 5);
+        assert_eq!(m.read_u32(high - 4), 0, "neighbouring page untouched");
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the addressable range")]
+    fn global_memory_rejects_an_unreachable_address() {
+        let mut m = GlobalMemory::new();
+        m.write_u32((MAX_GLOBAL_ADDR + 4) & !3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 lanes")]
+    fn lane_sets_hold_one_warp() {
+        let _ = coalesce_lines(0..33u64);
     }
 
     #[test]

@@ -9,16 +9,48 @@
 //! trails DARSIE in the paper.
 
 use crate::digest::fold;
-use std::collections::HashMap;
+use darsie::VecMap;
+use std::cmp::Ordering;
 
-/// Exact reuse key: static PC plus the scalar operand values consumed.
-pub type ReuseKey = (usize, Box<[u32]>);
+/// Operand words a [`ReuseKey`] holds: three sources, or an `s2r`'s three
+/// `ctaid` words.
+pub const KEY_WORDS: usize = 6;
 
-/// An LRU, value-keyed reuse buffer.
+/// Exact reuse key: static PC plus the scalar operand values consumed,
+/// stored inline. Keys order by PC, then lexicographically by operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReuseKey {
+    pc: usize,
+    words: [u32; KEY_WORDS],
+    len: usize,
+}
+
+impl ReuseKey {
+    /// The operand values.
+    #[must_use]
+    pub fn operands(&self) -> &[u32] {
+        &self.words[..self.len]
+    }
+}
+
+impl Ord for ReuseKey {
+    fn cmp(&self, other: &ReuseKey) -> Ordering {
+        (self.pc, self.operands()).cmp(&(other.pc, other.operands()))
+    }
+}
+
+impl PartialOrd for ReuseKey {
+    fn partial_cmp(&self, other: &ReuseKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// An LRU, value-keyed reuse buffer, ordered by key.
 #[derive(Debug, Clone)]
 pub struct ReuseBuffer {
     capacity: usize,
-    entries: HashMap<ReuseKey, (Box<[u32]>, u64)>,
+    /// Key -> (stored result vector, LRU stamp).
+    entries: VecMap<ReuseKey, (Box<[u32]>, u64)>,
     tick: u64,
     /// Successful reuses.
     pub hits: u64,
@@ -30,41 +62,62 @@ impl ReuseBuffer {
     /// A buffer holding `capacity` results.
     #[must_use]
     pub fn new(capacity: usize) -> ReuseBuffer {
-        ReuseBuffer { capacity, entries: HashMap::new(), tick: 0, hits: 0, misses: 0 }
+        ReuseBuffer { capacity, entries: VecMap::new(), tick: 0, hits: 0, misses: 0 }
     }
 
     /// Builds the key for `(pc, operand values)`. Since UV only reuses
     /// instructions whose operands are warp-uniform, one scalar word per
     /// operand suffices.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than six operand words.
     #[must_use]
     pub fn key(pc: usize, operands: &[u32]) -> ReuseKey {
-        (pc, operands.to_vec().into_boxed_slice())
+        assert!(operands.len() <= KEY_WORDS, "a reuse key holds at most {KEY_WORDS} words");
+        let mut words = [0; KEY_WORDS];
+        words[..operands.len()].copy_from_slice(operands);
+        ReuseKey { pc, words, len: operands.len() }
     }
 
     /// Probes for a previous result. Returns the stored vector on a hit.
-    pub fn probe(&mut self, key: &ReuseKey) -> Option<Box<[u32]>> {
+    pub fn probe(&mut self, key: &ReuseKey) -> Option<&[u32]> {
         self.tick += 1;
         if let Some((v, lru)) = self.entries.get_mut(key) {
             *lru = self.tick;
             self.hits += 1;
-            Some(v.clone())
+            Some(v)
         } else {
             self.misses += 1;
             None
         }
     }
 
-    /// Inserts a freshly computed result, evicting LRU if needed.
-    pub fn insert(&mut self, key: ReuseKey, value: Box<[u32]>) {
+    /// Inserts a freshly computed result, evicting LRU if needed. A full
+    /// buffer reuses the evicted entry's storage.
+    pub fn insert(&mut self, key: ReuseKey, value: &[u32]) {
         self.tick += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+        if let Some((v, lru)) = self.entries.get_mut(&key) {
+            v.copy_from_slice(value);
+            *lru = self.tick;
+            return;
+        }
+        let mut storage = None;
+        if self.entries.len() >= self.capacity {
             if let Some(victim) =
-                self.entries.iter().min_by_key(|(_, (_, lru))| *lru).map(|(k, _)| k.clone())
+                self.entries.iter().min_by_key(|(_, (_, lru))| *lru).map(|(k, _)| *k)
             {
-                self.entries.remove(&victim);
+                storage = self.entries.remove(&victim).map(|(v, _)| v);
             }
         }
-        self.entries.insert(key, (value, self.tick));
+        let stored = match storage {
+            Some(mut v) if v.len() == value.len() => {
+                v.copy_from_slice(value);
+                v
+            }
+            _ => value.into(),
+        };
+        self.entries.insert(key, (stored, self.tick));
     }
 
     /// Number of live entries.
@@ -79,15 +132,12 @@ impl ReuseBuffer {
         self.entries.is_empty()
     }
 
-    /// Folds the buffer contents into a digest accumulator, in sorted key
-    /// order (the backing HashMap's iteration order is not stable).
+    /// Folds the buffer contents into a digest accumulator, in key order.
     pub fn digest_fold(&self, h: &mut u64) {
         fold(h, self.tick);
-        let mut entries: Vec<_> = self.entries.iter().collect();
-        entries.sort_unstable_by_key(|(k, _)| *k);
-        for ((pc, operands), (value, lru)) in entries {
-            fold(h, *pc as u64);
-            for &w in operands.iter() {
+        for (key, (value, lru)) in self.entries.iter() {
+            fold(h, key.pc as u64);
+            for &w in key.operands() {
                 fold(h, u64::from(w));
             }
             for &w in value.iter() {
@@ -107,8 +157,8 @@ mod tests {
         let mut b = ReuseBuffer::new(4);
         let key = ReuseBuffer::key(8, &[1, 2]);
         assert!(b.probe(&key).is_none());
-        b.insert(key.clone(), vec![42; 32].into_boxed_slice());
-        assert_eq!(b.probe(&key).as_deref(), Some(&[42u32; 32][..]));
+        b.insert(key, &[42; 32]);
+        assert_eq!(b.probe(&key), Some(&[42u32; 32][..]));
         assert_eq!(b.hits, 1);
         assert_eq!(b.misses, 1);
     }
@@ -132,12 +182,34 @@ mod tests {
         let k1 = ReuseBuffer::key(0, &[1]);
         let k2 = ReuseBuffer::key(8, &[1]);
         let k3 = ReuseBuffer::key(16, &[1]);
-        b.insert(k1.clone(), vec![1].into_boxed_slice());
-        b.insert(k2.clone(), vec![2].into_boxed_slice());
+        b.insert(k1, &[1]);
+        b.insert(k2, &[2]);
         assert!(b.probe(&k1).is_some(), "refresh k1");
-        b.insert(k3, vec![3].into_boxed_slice());
+        b.insert(k3, &[3]);
         assert_eq!(b.len(), 2);
         assert!(b.probe(&k2).is_none(), "k2 was LRU");
         assert!(b.probe(&k1).is_some());
+    }
+
+    #[test]
+    fn keys_order_by_pc_then_operands() {
+        let k = ReuseBuffer::key;
+        let mut keys = [k(9, &[]), k(8, &[2]), k(8, &[1, 0]), k(8, &[1])];
+        keys.sort();
+        assert_eq!(keys, [k(8, &[1]), k(8, &[1, 0]), k(8, &[2]), k(9, &[])]);
+        assert_eq!(k(8, &[1, 0]).operands(), &[1, 0]);
+    }
+
+    #[test]
+    fn eviction_reuses_storage_and_keeps_contents_exact() {
+        let mut b = ReuseBuffer::new(1);
+        let (k1, k2) = (ReuseBuffer::key(0, &[1]), ReuseBuffer::key(0, &[2]));
+        b.insert(k1, &[1, 2, 3]);
+        b.insert(k2, &[4, 5, 6]);
+        assert_eq!(b.len(), 1);
+        assert!(b.probe(&k1).is_none());
+        assert_eq!(b.probe(&k2), Some(&[4, 5, 6][..]));
+        b.insert(k2, &[7, 8, 9]);
+        assert_eq!(b.probe(&k2), Some(&[7, 8, 9][..]), "re-insert overwrites");
     }
 }

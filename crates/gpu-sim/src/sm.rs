@@ -13,7 +13,7 @@ use crate::stats::SimStats;
 use crate::tb::TbState;
 use crate::timing;
 use crate::warp::{IBufEntry, Warp, WarpState};
-use darsie::{DarsieConfig, PcCoalescer, ProbeOutcome};
+use darsie::{DarsieConfig, PcCoalescer, ProbeOutcome, WarpMask};
 use simt_compiler::{CompiledKernel, LaunchPlan};
 use simt_isa::{Dim3, LaunchConfig, MemSpace, Op, Reg};
 use std::sync::Arc;
@@ -52,7 +52,7 @@ impl KernelData {
 }
 
 /// An instruction in flight between issue and writeback.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct InFlight {
     done: u64,
     warp: usize,
@@ -96,6 +96,14 @@ pub struct Sm {
     /// `Barrier` cadence snapshots when this advances).
     pub(crate) barrier_marks: u64,
     now: u64,
+    /// Per-cycle scratch, reused every cycle so the steady-state loop
+    /// allocates nothing: one scheduler's ordered issue candidates,
+    /// operand reads per register bank, writebacks retiring this cycle,
+    /// and the lane addresses of the instruction being executed.
+    candidates: Vec<usize>,
+    banks_used: Vec<u32>,
+    retiring: Vec<InFlight>,
+    addrs: Vec<(u32, u64)>,
 }
 
 impl Sm {
@@ -136,6 +144,10 @@ impl Sm {
             ),
             barrier_marks: 0,
             now: 0,
+            candidates: Vec::with_capacity(cfg.max_warps_per_sm as usize),
+            banks_used: vec![0; cfg.rf_banks],
+            retiring: Vec::new(),
+            addrs: Vec::with_capacity(cfg.warp_size as usize),
         }
     }
 
@@ -265,9 +277,7 @@ impl Sm {
         }
         fold(h, w.age);
         fold(h, w.fetch_ready_at);
-        let mut passes: Vec<_> = w.pass_counts.iter().collect();
-        passes.sort_unstable_by_key(|(&pc, _)| pc);
-        for (&pc, &n) in passes {
+        for (pc, &n) in w.pass_counts.iter().enumerate().filter(|&(_, &n)| n > 0) {
             fold(h, pc as u64);
             fold(h, u64::from(n));
         }
@@ -281,10 +291,12 @@ impl Sm {
     /// `components` is set (the bisector's fine mode), the per-component
     /// and per-warp sub-digests that let a divergence be named.
     ///
-    /// Every HashMap-backed structure is folded in sorted key order;
-    /// per-cycle transients that never survive a cycle boundary (the PC
-    /// coalescer's port grants) and pure outputs (stats, events, profile)
-    /// are deliberately excluded.
+    /// Keyed state folds in ascending key order: the per-TB and per-warp
+    /// maps are ordered by construction, and only the skip table (kept in
+    /// hardware slot order) is sorted here. Per-cycle transients that never
+    /// survive a cycle boundary (the PC coalescer's port grants, the
+    /// scheduler scratch) and pure outputs (stats, events, profile) are
+    /// deliberately excluded.
     #[must_use]
     pub(crate) fn digest_epoch(&self, components: bool) -> (u64, Option<ComponentDigests>) {
         // Scoreboard: pending register/predicate writes of every warp.
@@ -331,26 +343,20 @@ impl Sm {
                 fold(&mut skip_table, e.last_use);
                 fold(&mut skip_table, e.created);
             }
-            let mut snaps: Vec<_> = tb.snapshots.iter().collect();
-            snaps.sort_unstable_by_key(|(&k, _)| k);
-            for (&(pc, inst), values) in snaps {
+            for (&(pc, inst), values) in tb.snapshots.iter() {
                 fold(&mut skip_table, pc as u64);
                 fold(&mut skip_table, u64::from(inst));
                 for &v in values.iter() {
                     fold(&mut skip_table, u64::from(v));
                 }
             }
-            let mut evs: Vec<_> = tb.entry_versions.iter().collect();
-            evs.sort_unstable_by_key(|(&k, _)| k);
-            for (&(pc, inst), &(reg, version)) in evs {
+            for (&(pc, inst), &(reg, version)) in tb.entry_versions.iter() {
                 fold(&mut skip_table, pc as u64);
                 fold(&mut skip_table, u64::from(inst));
                 fold(&mut skip_table, u64::from(reg));
                 fold(&mut skip_table, u64::from(version));
             }
-            let mut syncs: Vec<_> = tb.branch_syncs.iter().collect();
-            syncs.sort_unstable_by_key(|(&pc, _)| pc);
-            for (&pc, bs) in syncs {
+            for (&pc, bs) in tb.branch_syncs.iter().filter(|(_, bs)| bs.is_pending()) {
                 fold(&mut skip_table, pc as u64);
                 fold(&mut skip_table, u64::from(bs.arrived));
                 for &(w, npc) in &bs.outcomes {
@@ -466,7 +472,7 @@ impl Sm {
             let slot = self.warps.iter().position(|x| x.is_none()).expect("free warp slot");
             let lanes_live = threads.saturating_sub(w * ws).min(ws);
             let full_mask = if lanes_live >= 32 { u32::MAX } else { (1u32 << lanes_live) - 1 };
-            let warp = Warp::new(
+            let mut warp = Warp::new(
                 slot,
                 tb_slot,
                 w,
@@ -476,6 +482,9 @@ impl Sm {
                 self.next_age,
             );
             self.next_age += 1;
+            if self.darsie().is_some() {
+                warp.pass_counts = vec![0; self.kd.ck.kernel.len()];
+            }
             self.warps[slot] = Some(warp);
             slots.push(slot);
         }
@@ -506,7 +515,8 @@ impl Sm {
         }
         self.count_stall_cycles();
         self.writeback(now);
-        let completed = self.issue(now, global, l2, dram);
+        let kd = Arc::clone(&self.kd);
+        let completed = self.issue(&kd, now, global, l2, dram);
         self.fetch(now);
         completed
     }
@@ -555,16 +565,17 @@ impl Sm {
     // ----- writeback ---------------------------------------------------------
 
     fn writeback(&mut self, now: u64) {
-        let mut done: Vec<InFlight> = Vec::new();
+        let mut retiring = std::mem::take(&mut self.retiring);
+        retiring.clear();
         self.inflight.retain(|f| {
             if f.done <= now {
-                done.push(f.clone());
+                retiring.push(*f);
                 false
             } else {
                 true
             }
         });
-        for f in done {
+        for &f in &retiring {
             if self.cfg.trace_events {
                 let pc = f.leader.map_or(usize::MAX, |(pc, _)| pc);
                 self.trace(f.warp, pc, EventKind::Writeback);
@@ -592,10 +603,13 @@ impl Sm {
                 }
                 if let Some(tb) = self.tbs[tb_idx].as_mut() {
                     let released = tb.skip_table.leader_writeback(pc, instance, warp_in_tb, now);
-                    release_waiting(&mut self.warps, tb, released, pc, instance);
+                    wake(&mut self.warps, &tb.warp_slots, released, |s| {
+                        s == WarpState::WaitLeader(pc, instance)
+                    });
                 }
             }
         }
+        self.retiring = retiring;
     }
 
     // ----- issue -------------------------------------------------------------
@@ -603,6 +617,7 @@ impl Sm {
     /// Returns completed TB count.
     fn issue(
         &mut self,
+        kd: &KernelData,
         now: u64,
         global: &mut GlobalMemory,
         l2: &mut TagCache,
@@ -612,21 +627,24 @@ impl Sm {
         let mut issued_any = false;
         let width = self.cfg.issue_width;
         // Register banks touched this cycle (operand-collector conflicts).
-        let mut banks_used: Vec<u32> = vec![0; self.cfg.rf_banks];
+        let mut banks_used = std::mem::take(&mut self.banks_used);
+        banks_used.fill(0);
+        let mut candidates = std::mem::take(&mut self.candidates);
         for s in 0..self.cfg.schedulers_per_sm {
-            let candidates = self.warp_candidates(s);
+            self.warp_candidates(s, &mut candidates);
             let mut issued_from = None;
             let mut sched_issued = 0usize;
             // `(cause, head pc, warp slot)` blamed for the scheduler's
             // unfilled slots this cycle (accounting identity: every slot
             // gets exactly one cause).
             let mut blame: Option<(StallCause, Option<usize>, Option<usize>)> = None;
-            for wslot in candidates {
+            for &wslot in &candidates {
                 let mut issued = 0;
                 let mut stop: Option<(StallCause, Option<usize>)> = None;
                 let mut control = false;
                 while issued < width {
-                    match self.try_issue_head(now, wslot, s, global, l2, dram, &mut banks_used) {
+                    match self.try_issue_head(kd, now, wslot, s, global, l2, dram, &mut banks_used)
+                    {
                         IssueOutcome::Issued => {
                             issued += 1;
                             issued_any = true;
@@ -678,6 +696,8 @@ impl Sm {
                 self.stats.rf_bank_conflicts += u64::from(n - 1);
             }
         }
+        self.banks_used = banks_used;
+        self.candidates = candidates;
         completed
     }
 
@@ -730,7 +750,7 @@ impl Sm {
     /// highest-priority parked state among its warps, or idle-no-warp.
     fn idle_cause(&self, s: usize) -> (StallCause, Option<usize>, Option<usize>) {
         let mut best: Option<(u32, StallCause, Option<usize>, usize)> = None;
-        for slot in (0..self.warps.len()).filter(|slot| slot % self.cfg.schedulers_per_sm == s) {
+        for slot in (s..self.warps.len()).step_by(self.cfg.schedulers_per_sm) {
             let Some(w) = self.warps[slot].as_ref() else { continue };
             let (rank, cause, pc) = match w.state {
                 WarpState::WaitLeader(pc, _) => (0, StallCause::WaitLeader, Some(pc)),
@@ -751,36 +771,36 @@ impl Sm {
         }
     }
 
-    /// Ordered candidate warps for scheduler `s` this cycle (highest
-    /// priority first).
-    fn warp_candidates(&mut self, s: usize) -> Vec<usize> {
-        let mut candidates: Vec<usize> = (0..self.warps.len())
-            .filter(|slot| slot % self.cfg.schedulers_per_sm == s)
-            .filter(|&slot| {
-                self.warps[slot].as_ref().is_some_and(|w| {
-                    matches!(w.state, WarpState::Ready | WarpState::WaitLeader(..))
-                        && !w.ibuffer.is_empty()
-                })
-            })
-            .collect();
-        if candidates.is_empty() {
-            return candidates;
+    /// Fills `candidates` with scheduler `s`'s issue candidates this cycle,
+    /// highest priority first. Scheduler `s` owns warp slots `s`,
+    /// `s + schedulers_per_sm`, ..., and only those are visited.
+    fn warp_candidates(&mut self, s: usize, candidates: &mut Vec<usize>) {
+        candidates.clear();
+        for slot in (s..self.warps.len()).step_by(self.cfg.schedulers_per_sm) {
+            if self.warps[slot].as_ref().is_some_and(|w| {
+                matches!(w.state, WarpState::Ready | WarpState::WaitLeader(..))
+                    && !w.ibuffer.is_empty()
+            }) {
+                candidates.push(slot);
+            }
         }
         match self.cfg.scheduler {
             SchedulerPolicy::Gto => {
-                // Oldest first; the greedy warp (last issued) leads.
-                candidates
-                    .sort_by_key(|&slot| self.warps[slot].as_ref().map_or(u64::MAX, |w| w.age));
+                // Oldest first (ages are unique); the greedy warp (last
+                // issued) leads.
+                candidates.sort_unstable_by_key(|&slot| {
+                    self.warps[slot].as_ref().map_or(u64::MAX, |w| w.age)
+                });
                 if let Some(last) = self.gto_last[s] {
                     if let Some(pos) = candidates.iter().position(|&c| c == last) {
-                        candidates.remove(pos);
-                        candidates.insert(0, last);
+                        candidates[..=pos].rotate_right(1);
                     }
                 }
             }
             SchedulerPolicy::Lrr => {
+                // Ascending slots, rotated to start at the round-robin
+                // pointer.
                 let start = self.lrr_next[s];
-                candidates.sort_unstable();
                 let split = candidates.iter().position(|&c| c >= start).unwrap_or(0);
                 candidates.rotate_left(split);
                 if let Some(&first) = candidates.first() {
@@ -788,7 +808,6 @@ impl Sm {
                 }
             }
         }
-        candidates
     }
 
     /// Attempts to issue the head of `wslot`'s I-buffer (after absorbing
@@ -796,6 +815,7 @@ impl Sm {
     #[allow(clippy::too_many_arguments)]
     fn try_issue_head(
         &mut self,
+        kd: &KernelData,
         now: u64,
         wslot: usize,
         sched: usize,
@@ -842,13 +862,14 @@ impl Sm {
                         unreachable!()
                     };
                     if self.cfg.shadow_check {
-                        self.shadow_check_marker(wslot, pc, dst, &values, global);
+                        self.shadow_check_marker(kd.instr(pc), wslot, pc, dst, &values, global);
                     }
                     let w = self.warps[wslot].as_mut().expect("warp exists");
                     w.set_reg_vector(dst, &values);
                     let _ = w.record_pass(pc);
                     w.advance();
                     w.reconverge();
+                    self.tbs[w.tb].as_mut().expect("TB exists").recycle(values);
                     absorbed += 1;
                     if self.cfg.profile {
                         self.profile.per_pc.entry(pc).or_default().skipped += 1;
@@ -856,7 +877,6 @@ impl Sm {
                 }
                 Some(IBufEntry::Ghost { .. }) => {
                     let Some(&IBufEntry::Ghost { pc }) = w.ibuffer.front() else { unreachable!() };
-                    let kd = Arc::clone(&self.kd);
                     let instr = kd.instr(pc);
                     if !w.scoreboard_ready(instr) {
                         return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
@@ -882,7 +902,7 @@ impl Sm {
                         block: self.kd.launch.block,
                         ctaid: tb.ctaid,
                     };
-                    let _ = execute(warp, instr, &mut ctx);
+                    let _ = execute(warp, instr, &mut ctx, &mut self.addrs);
                     warp.reconverge();
                 }
                 _ => break,
@@ -912,7 +932,6 @@ impl Sm {
         let Some(&IBufEntry::Instr { pc, leader }) = w.ibuffer.front() else {
             return IssueOutcome::Stall { cause: drained, pc: None };
         };
-        let kd = Arc::clone(&self.kd);
         let instr = kd.instr(pc);
         if !w.scoreboard_ready(instr) {
             return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
@@ -921,7 +940,7 @@ impl Sm {
         // SILICON-SYNC: block at basic-block boundaries.
         if matches!(self.technique, Technique::SiliconSync)
             && self.kd.bb_start[pc]
-            && self.silicon_sync_gate(now, wslot)
+            && self.silicon_sync_gate(wslot)
         {
             return IssueOutcome::Stall { cause: StallCause::Barrier, pc: Some(pc) };
         }
@@ -954,7 +973,7 @@ impl Sm {
             && instr.guard.is_none()
             && !matches!(instr.op, Op::Sel(_))
         {
-            match self.try_uv_reuse(now, wslot, pc, instr, global, banks_used) {
+            match self.try_uv_reuse(wslot, pc, instr, global, banks_used) {
                 Ok(()) => return IssueOutcome::Issued,
                 Err(key) => uv_key = Some(key),
             }
@@ -964,13 +983,10 @@ impl Sm {
     }
 
     /// SILICON-SYNC gate: returns true when the warp must stall.
-    fn silicon_sync_gate(&mut self, _now: u64, wslot: usize) -> bool {
-        let (tb_idx, warp_in_tb) = {
-            let w = self.warps[wslot].as_ref().expect("warp exists");
-            (w.tb, w.warp_in_tb as usize)
-        };
-        let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
+    fn silicon_sync_gate(&mut self, wslot: usize) -> bool {
         let w = self.warps[wslot].as_mut().expect("warp exists");
+        let warp_in_tb = w.warp_in_tb as usize;
+        let tb = self.tbs[w.tb].as_mut().expect("TB exists");
         if !w.bb_pending {
             // Register this crossing and start waiting.
             tb.bb_crossings[warp_in_tb] += 1;
@@ -982,81 +998,76 @@ impl Sm {
         // crossing count; treating it as satisfied avoids deadlock between
         // the instrumentation barrier and the kernel's own barriers
         // (divergent paths cross different numbers of block boundaries).
-        let slots = tb.warp_slots.clone();
-        let live = tb.live_mask;
-        let counts = tb.bb_crossings.clone();
-        let all_reached = slots.iter().enumerate().all(|(i, &slot)| {
-            if live & (1 << i) == 0 || counts[i] >= my {
-                return true;
-            }
-            self.warps[slot].as_ref().is_none_or(|other| other.state == WarpState::AtBarrier)
+        let all_reached = tb.warp_slots.iter().enumerate().all(|(i, &slot)| {
+            tb.live_mask & (1 << i) == 0
+                || tb.bb_crossings[i] >= my
+                || self.warps[slot].as_ref().is_none_or(|other| other.state == WarpState::AtBarrier)
         });
-        let w = self.warps[wslot].as_mut().expect("warp exists");
         if all_reached {
-            w.bb_pending = false;
-            false
-        } else {
-            true
+            self.warps[wslot].as_mut().expect("warp exists").bb_pending = false;
         }
+        !all_reached
     }
 
     /// UV reuse attempt; `Ok(())` when the instruction was satisfied from
     /// the reuse buffer, `Err(key)` on a miss (the caller executes
     /// normally and inserts the result under that key).
-    #[allow(clippy::too_many_arguments)]
     fn try_uv_reuse(
         &mut self,
-        _now: u64,
         wslot: usize,
         pc: usize,
         instr: &simt_isa::Instruction,
         global: &mut GlobalMemory,
         banks_used: &mut [u32],
     ) -> Result<(), crate::reuse::ReuseKey> {
-        let w = self.warps[wslot].as_mut().expect("warp exists");
+        let w = self.warps[wslot].as_ref().expect("warp exists");
         // Operand signature from lane 0 (UV only targets warp-uniform
         // operands). S2R has implicit inputs: fold in the TB identity.
-        let mut sig_words: Vec<u32> = instr
-            .srcs
-            .iter()
-            .map(|&o| match o {
+        let mut sig_words = [0u32; crate::reuse::KEY_WORDS];
+        let mut n = 0;
+        for &o in &instr.srcs {
+            sig_words[n] = match o {
                 simt_isa::Operand::Reg(r) => w.reg(r, 0),
                 simt_isa::Operand::Imm(v) => v,
-            })
-            .collect();
+            };
+            n += 1;
+        }
         if let Op::S2R(_) = instr.op {
             let tb = self.tbs[w.tb].as_ref().expect("TB exists");
-            sig_words.push(tb.ctaid.x);
-            sig_words.push(tb.ctaid.y);
-            sig_words.push(tb.ctaid.z);
+            sig_words[n..n + 3].copy_from_slice(&[tb.ctaid.x, tb.ctaid.y, tb.ctaid.z]);
+            n += 3;
         }
-        let key = ReuseBuffer::key(pc, &sig_words);
-        if let Some(vals) = self.uv_reuse.probe(&key) {
-            // Operand reads still happen (the reuse buffer is checked with
-            // real operand values).
-            self.charge_operand_reads(wslot, instr, banks_used);
-            if self.cfg.shadow_check {
-                if let Some(d) = instr.dst {
-                    self.shadow_check_marker(wslot, pc, d, &vals, global);
-                }
+        let key = ReuseBuffer::key(pc, &sig_words[..n]);
+        let mut vals = [0u32; 32];
+        let vals = match self.uv_reuse.probe(&key) {
+            Some(hit) => {
+                vals[..hit.len()].copy_from_slice(hit);
+                &vals[..hit.len()]
             }
-            let w = self.warps[wslot].as_mut().expect("warp exists");
+            None => return Err(key),
+        };
+        // Operand reads still happen (the reuse buffer is checked with
+        // real operand values).
+        self.charge_operand_reads(wslot, instr, banks_used);
+        if self.cfg.shadow_check {
             if let Some(d) = instr.dst {
-                w.set_reg_vector(d, &vals);
-                self.stats.rf_writes += 1;
+                self.shadow_check_marker(instr, wslot, pc, d, vals, global);
             }
-            w.ibuffer.pop_front();
-            w.advance();
-            w.reconverge();
-            self.stats.instrs_reused.add(self.kd.plan.taxonomy[pc], 1);
-            if self.cfg.profile {
-                self.profile.per_pc.entry(pc).or_default().issued += 1;
-            }
-            self.trace(wslot, pc, EventKind::Reuse);
-            Ok(())
-        } else {
-            Err(key)
         }
+        let w = self.warps[wslot].as_mut().expect("warp exists");
+        if let Some(d) = instr.dst {
+            w.set_reg_vector(d, vals);
+            self.stats.rf_writes += 1;
+        }
+        w.ibuffer.pop_front();
+        w.advance();
+        w.reconverge();
+        self.stats.instrs_reused.add(self.kd.plan.taxonomy[pc], 1);
+        if self.cfg.profile {
+            self.profile.per_pc.entry(pc).or_default().issued += 1;
+        }
+        self.trace(wslot, pc, EventKind::Reuse);
+        Ok(())
     }
 
     fn charge_operand_reads(
@@ -1139,7 +1150,7 @@ impl Sm {
                 block: self.kd.launch.block,
                 ctaid: tb.ctaid,
             };
-            execute(w, instr, &mut ctx)
+            execute(w, instr, &mut ctx, &mut self.addrs)
         };
         self.stats.instrs_executed += 1;
         self.stats.executed_taxonomy.add(self.kd.plan.taxonomy[pc], 1);
@@ -1152,7 +1163,7 @@ impl Sm {
         if let Some(key) = uv_key {
             if let Some(d) = instr.dst {
                 let w = self.warps[wslot].as_ref().expect("warp exists");
-                self.uv_reuse.insert(key, w.reg_vector(d).into_boxed_slice());
+                self.uv_reuse.insert(key, w.reg_lanes(d));
             }
         }
 
@@ -1160,9 +1171,8 @@ impl Sm {
         if let Some(instance) = leader {
             if let Some(d) = instr.dst {
                 let w = self.warps[wslot].as_ref().expect("warp exists");
-                let vals = w.reg_vector(d).into_boxed_slice();
                 let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
-                tb.snapshots.insert((pc, instance), vals);
+                tb.snapshot(pc, instance, w.reg_lanes(d));
             }
         }
 
@@ -1186,7 +1196,7 @@ impl Sm {
                 IssueOutcome::Issued
             }
             ExecEffect::Branch { taken, target } => {
-                self.resolve_branch(now, wslot, tb_idx, warp_in_tb, pc, instr, taken, target)
+                self.resolve_branch(wslot, tb_idx, warp_in_tb, pc, instr, taken, target)
             }
             ExecEffect::Barrier => {
                 self.stats.barrier_waits += 1;
@@ -1199,17 +1209,8 @@ impl Sm {
                     Some(mask) => {
                         self.barrier_marks += 1;
                         // Everyone (including this warp) proceeds.
-                        for (i, &slot) in
-                            self.tbs[tb_idx].as_ref().expect("TB").warp_slots.iter().enumerate()
-                        {
-                            if mask & (1 << i) != 0 {
-                                if let Some(w) = self.warps[slot].as_mut() {
-                                    if w.state == WarpState::AtBarrier {
-                                        w.state = WarpState::Ready;
-                                    }
-                                }
-                            }
-                        }
+                        let slots = &self.tbs[tb_idx].as_ref().expect("TB").warp_slots;
+                        wake(&mut self.warps, slots, mask, |s| s == WarpState::AtBarrier);
                     }
                     None => {
                         let w = self.warps[wslot].as_mut().expect("warp exists");
@@ -1238,13 +1239,15 @@ impl Sm {
                 }
                 IssueOutcome::IssuedControl { tb_done }
             }
-            ExecEffect::Memory { space, addrs, is_store, is_atomic } => {
+            ExecEffect::Memory { space, is_store, is_atomic } => {
                 let w = self.warps[wslot].as_mut().expect("warp exists");
                 w.reconverge();
+                let addrs = std::mem::take(&mut self.addrs);
                 self.handle_memory(
                     now, wslot, tb_idx, pc, leader, instr, space, &addrs, is_store, is_atomic, l2,
                     dram,
                 );
+                self.addrs = addrs;
                 IssueOutcome::Issued
             }
         }
@@ -1278,7 +1281,6 @@ impl Sm {
     #[allow(clippy::too_many_arguments)]
     fn resolve_branch(
         &mut self,
-        _now: u64,
         wslot: usize,
         tb_idx: usize,
         warp_in_tb: u32,
@@ -1330,62 +1332,33 @@ impl Sm {
         IssueOutcome::IssuedControl { tb_done: 0 }
     }
 
-    fn apply_branch_sync_resolution(&mut self, tb_idx: usize, resolved: Option<(u32, Vec<u32>)>) {
+    fn apply_branch_sync_resolution(
+        &mut self,
+        tb_idx: usize,
+        resolved: Option<(WarpMask, WarpMask)>,
+    ) {
         let Some((released, evicted)) = resolved else { return };
-        self.stats.darsie.majority_evictions += evicted.len() as u64;
-        let slots: Vec<(usize, usize)> = {
-            let tb = self.tbs[tb_idx].as_ref().expect("TB exists");
-            tb.warp_slots.iter().copied().enumerate().collect()
-        };
-        for (i, slot) in slots {
-            if released & (1 << i) != 0 {
-                if let Some(w) = self.warps[slot].as_mut() {
-                    if matches!(w.state, WarpState::BranchSync(_)) {
-                        w.state = WarpState::Ready;
-                    }
-                }
-            }
-        }
+        self.stats.darsie.majority_evictions += u64::from(evicted.count_ones());
+        let slots = &self.tbs[tb_idx].as_ref().expect("TB exists").warp_slots;
+        wake(&mut self.warps, slots, released, |s| matches!(s, WarpState::BranchSync(_)));
     }
 
     /// Re-evaluates pending synchronizations after the majority mask or
-    /// live mask shrank (warp exit).
+    /// live mask shrank (warp exit), in branch-PC order.
     fn after_majority_change(&mut self, tb_idx: usize) {
-        let pending = {
-            let tb = self.tbs[tb_idx].as_ref().expect("TB exists");
-            tb.pending_branch_syncs()
-        };
-        for pc in pending {
-            let resolved = {
-                let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
-                tb.check_branch_sync(pc)
-            };
-            self.apply_branch_sync_resolution(tb_idx, resolved);
+        for i in 0.. {
+            let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
+            let Some((&pc, sync)) = tb.branch_syncs.entry_at(i) else { break };
+            if sync.is_pending() {
+                let resolved = tb.check_branch_sync(pc);
+                self.apply_branch_sync_resolution(tb_idx, resolved);
+            }
         }
         // Barrier may also now be complete.
-        let released = {
-            let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
-            if tb.barrier_arrived != 0 && tb.barrier_arrived & tb.live_mask == tb.live_mask {
-                tb.arrive_barrier_completion()
-            } else {
-                None
-            }
-        };
-        if let Some(mask) = released {
+        let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
+        if let Some(mask) = tb.arrive_barrier_completion() {
             self.barrier_marks += 1;
-            let slots: Vec<(usize, usize)> = {
-                let tb = self.tbs[tb_idx].as_ref().expect("TB exists");
-                tb.warp_slots.iter().copied().enumerate().collect()
-            };
-            for (i, slot) in slots {
-                if mask & (1 << i) != 0 {
-                    if let Some(w) = self.warps[slot].as_mut() {
-                        if w.state == WarpState::AtBarrier {
-                            w.state = WarpState::Ready;
-                        }
-                    }
-                }
-            }
+            wake(&mut self.warps, &tb.warp_slots, mask, |s| s == WarpState::AtBarrier);
         }
         let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
         let must = tb.must_pass_mask();
@@ -1435,7 +1408,7 @@ impl Sm {
                 by_pc.global_transactions += lines.len() as u64;
                 self.lsu_busy = now + timing::global_occupancy(lines.len() as u64);
                 let mut worst = now + timing::l1_hit_latency(&self.cfg);
-                for &line in &lines {
+                for &line in lines.iter() {
                     let t = if is_store || is_atomic {
                         // Write-through: invalidate L1, go to L2.
                         self.l1d.invalidate(line);
@@ -1472,7 +1445,7 @@ impl Sm {
         };
 
         if is_store || is_atomic {
-            self.invalidate_load_skips(tb_idx, is_atomic, space);
+            self.invalidate_load_skips(tb_idx, is_atomic);
         }
         if instr.dst.is_some() {
             self.finish_issue(completion, wslot, pc, leader, instr);
@@ -1481,38 +1454,26 @@ impl Sm {
 
     /// Paper Section 4.4: stores flush this TB's load entries; global
     /// communication primitives (atomics) flush load entries SM-wide.
-    fn invalidate_load_skips(&mut self, tb_idx: usize, is_atomic: bool, space: MemSpace) {
-        let Some(d) = self.darsie().cloned() else { return };
+    /// Shared-memory stores can only affect this TB's shared loads; the
+    /// TB bank is flushed conservatively either way (the table does not
+    /// distinguish spaces beyond IsLoad).
+    fn invalidate_load_skips(&mut self, tb_idx: usize, is_atomic: bool) {
+        let Some(d) = self.darsie() else { return };
         if d.ignore_store && !is_atomic {
             return;
         }
-        // Shared-memory stores can only affect this TB's shared loads;
-        // conservatively flush the TB bank either way (the table does not
-        // distinguish spaces beyond IsLoad).
-        let _ = space;
-        let targets: Vec<usize> = if is_atomic {
-            (0..self.tbs.len()).filter(|&i| self.tbs[i].is_some()).collect()
-        } else {
-            vec![tb_idx]
-        };
-        for t in targets {
-            let (released, slots): (u32, Vec<usize>) = {
-                let tb = self.tbs[t].as_mut().expect("TB exists");
-                let (n, released) = tb.skip_table.invalidate_loads(&mut self.stats.darsie);
-                if n > 0 {
-                    tb.gc_versions();
-                }
-                (released, tb.warp_slots.clone())
-            };
-            for (i, slot) in slots.iter().enumerate() {
-                if released & (1 << i) != 0 {
-                    if let Some(w) = self.warps[*slot].as_mut() {
-                        if matches!(w.state, WarpState::WaitLeader(..)) {
-                            w.state = WarpState::Ready;
-                        }
-                    }
-                }
+        for t in 0..self.tbs.len() {
+            if !is_atomic && t != tb_idx {
+                continue;
             }
+            let Some(tb) = self.tbs[t].as_mut() else { continue };
+            let (n, released) = tb.skip_table.invalidate_loads(&mut self.stats.darsie);
+            if n > 0 {
+                tb.gc_versions();
+            }
+            wake(&mut self.warps, &tb.warp_slots, released, |s| {
+                matches!(s, WarpState::WaitLeader(..))
+            });
         }
     }
 
@@ -1523,24 +1484,19 @@ impl Sm {
         self.used_smem -= self.kd.ck.kernel.shared_mem_bytes;
     }
 
-    /// Shadow soundness oracle: recompute a skipped instruction and compare
-    /// with the leader's shared value.
+    /// Shadow soundness oracle: recompute a skipped instruction (`instr`,
+    /// at `pc`) and compare with the leader's shared value.
     fn shadow_check_marker(
         &mut self,
+        instr: &simt_isa::Instruction,
         wslot: usize,
         pc: usize,
         dst: Reg,
         values: &[u32],
         global: &mut GlobalMemory,
     ) {
-        let kd = Arc::clone(&self.kd);
-        let instr = kd.instr(pc);
-        let (tb_idx,) = {
-            let w = self.warps[wslot].as_ref().expect("warp exists");
-            (w.tb,)
-        };
-        let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
         let w = self.warps[wslot].as_mut().expect("warp exists");
+        let tb = self.tbs[w.tb].as_mut().expect("TB exists");
         let before = w.reg_vector(dst);
         let mut ctx = ExecContext {
             global,
@@ -1550,7 +1506,7 @@ impl Sm {
             block: self.kd.launch.block,
             ctaid: tb.ctaid,
         };
-        let _ = execute(w, instr, &mut ctx);
+        let _ = execute(w, instr, &mut ctx, &mut self.addrs);
         let recomputed = w.reg_vector(dst);
         w.set_reg_vector(dst, &before);
         assert_eq!(
@@ -1632,8 +1588,8 @@ impl Sm {
     fn pre_fetch_eliminate(&mut self, now: u64, wslot: usize) -> bool {
         match &self.technique {
             Technique::Darsie(d) => {
-                let d = d.clone();
-                self.darsie_skip_loop(now, wslot, &d)
+                let (budget, versioning) = (d.max_skips_per_warp_cycle, d.versioning);
+                self.darsie_skip_loop(now, wslot, budget, versioning)
             }
             Technique::DacIdeal => {
                 self.dac_ghost_loop(wslot);
@@ -1738,13 +1694,20 @@ impl Sm {
         }
     }
 
-    /// DARSIE skip loop at the fetch frontier (paper Section 4.3.5).
-    /// Returns false when the warp blocked (waiting for a leader, out of
-    /// skip-table ports, or out of per-cycle skip budget with a skippable
-    /// instruction still at the frontier — it retries next cycle rather
-    /// than fetching the redundant instruction).
-    fn darsie_skip_loop(&mut self, now: u64, wslot: usize, d: &DarsieConfig) -> bool {
-        for iter in 0..=d.max_skips_per_warp_cycle {
+    /// DARSIE skip loop at the fetch frontier (paper Section 4.3.5), with
+    /// at most `budget` skips per cycle; `versioning` off is the
+    /// write-synchronization ablation. Returns false when the warp blocked
+    /// (waiting for a leader, out of skip-table ports, or out of per-cycle
+    /// skip budget with a skippable instruction still at the frontier — it
+    /// retries next cycle rather than fetching the redundant instruction).
+    fn darsie_skip_loop(
+        &mut self,
+        now: u64,
+        wslot: usize,
+        budget: usize,
+        versioning: bool,
+    ) -> bool {
+        for iter in 0..=budget {
             let (tb_idx, warp_in_tb, pc) = {
                 let w = self.warps[wslot].as_ref().expect("warp exists");
                 if w.fetch_blocked {
@@ -1762,7 +1725,7 @@ impl Sm {
             if self.tbs[tb_idx].as_ref().expect("TB exists").rename.capacity() == 0 {
                 return true;
             }
-            if iter == d.max_skips_per_warp_cycle {
+            if iter == budget {
                 // Budget exhausted with a skippable frontier: retry next
                 // cycle instead of fetching the redundant instruction.
                 return false;
@@ -1801,10 +1764,11 @@ impl Sm {
                     let taxonomy = self.kd.plan.taxonomy[pc];
                     let values = {
                         let tb = self.tbs[tb_idx].as_ref().expect("TB exists");
-                        tb.snapshots
-                            .get(&(pc, instance))
-                            .expect("leader_wb implies a snapshot")
-                            .clone()
+                        Arc::clone(
+                            tb.snapshots
+                                .get(&(pc, instance))
+                                .expect("leader_wb implies a snapshot"),
+                        )
                     };
                     {
                         let w = self.warps[wslot].as_mut().expect("warp exists");
@@ -1842,7 +1806,7 @@ impl Sm {
                     // option 1): a new version of a register may not be
                     // created while an older skip entry for the same
                     // register is live — wait for the TB to drain it.
-                    if !d.versioning {
+                    if !versioning {
                         let conflict = tb.skip_table.iter().any(|e| {
                             tb.entry_versions
                                 .get(&(e.pc, e.instance))
@@ -1917,21 +1881,119 @@ enum IssueOutcome {
     Stall { cause: StallCause, pc: Option<usize> },
 }
 
-/// Releases warps that were waiting on a leader writeback.
-fn release_waiting(
+/// Wakes the warps of one TB (`slots`, in warp-in-TB order) whose bit is
+/// set in `mask` and that are parked in a state `parked` accepts.
+fn wake(
     warps: &mut [Option<Warp>],
-    tb: &TbState,
-    released: u32,
-    pc: usize,
-    instance: u32,
+    slots: &[usize],
+    mask: WarpMask,
+    parked: impl Fn(WarpState) -> bool,
 ) {
-    for (i, &slot) in tb.warp_slots.iter().enumerate() {
-        if released & (1 << i) != 0 {
+    for (i, &slot) in slots.iter().enumerate() {
+        if mask & (1 << i) != 0 {
             if let Some(w) = warps[slot].as_mut() {
-                if w.state == WarpState::WaitLeader(pc, instance) {
+                if parked(w.state) {
                     w.state = WarpState::Ready;
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simt_isa::{KernelBuilder, SpecialReg};
+
+    /// An SM of the Pascal configuration (4 schedulers) holding one TB of
+    /// 16 warps in slots 0..16, every warp with an instruction buffered.
+    fn sm_with_16_warps(scheduler: SchedulerPolicy) -> Sm {
+        let mut b = KernelBuilder::new("sched");
+        let tid = b.special(SpecialReg::TidX);
+        let _ = b.iadd(tid, 1u32);
+        let ck = simt_compiler::compile(b.finish());
+        let launch = LaunchConfig::new(1u32, 512u32);
+        let cfg = GpuConfig { scheduler, ..GpuConfig::pascal_gtx1080ti() };
+        let mut sm = Sm::new(0, &cfg, Technique::Base, Arc::new(KernelData::new(ck, launch)));
+        sm.launch_tb(Dim3::three_d(0, 0, 0));
+        for w in sm.warps.iter_mut().flatten() {
+            w.ibuffer.push_back(IBufEntry::Instr { pc: 0, leader: None });
+        }
+        sm
+    }
+
+    fn warp(sm: &mut Sm, slot: usize) -> &mut Warp {
+        sm.warps[slot].as_mut().expect("resident warp")
+    }
+
+    #[test]
+    fn gto_puts_the_greedy_warp_first_then_the_oldest() {
+        let mut sm = sm_with_16_warps(SchedulerPolicy::Gto);
+        // Scheduler 0 owns slots 0, 4, 8 and 12; make age disagree with
+        // slot order.
+        for (slot, age) in [(0, 30), (4, 10), (8, 20), (12, 40)] {
+            warp(&mut sm, slot).age = age;
+        }
+        let mut buf = Vec::new();
+        sm.warp_candidates(0, &mut buf);
+        assert_eq!(buf, [4, 8, 0, 12], "no greedy warp yet: oldest first");
+
+        sm.gto_last[0] = Some(12);
+        sm.warp_candidates(0, &mut buf);
+        assert_eq!(buf, [12, 4, 8, 0], "the greedy warp leads, the rest stay oldest first");
+
+        // The reused buffer holds only this cycle's candidates: a warp at
+        // a barrier or with an empty I-buffer drops out, a warp waiting
+        // for a DARSIE leader stays in.
+        warp(&mut sm, 8).state = WarpState::AtBarrier;
+        warp(&mut sm, 4).ibuffer.clear();
+        warp(&mut sm, 0).state = WarpState::WaitLeader(0, 1);
+        sm.warp_candidates(0, &mut buf);
+        assert_eq!(buf, [12, 0]);
+
+        // A greedy warp that is no longer a candidate leaves the order
+        // alone.
+        sm.gto_last[0] = Some(8);
+        sm.warp_candidates(0, &mut buf);
+        assert_eq!(buf, [0, 12]);
+    }
+
+    #[test]
+    fn schedulers_visit_only_their_own_slots() {
+        let mut sm = sm_with_16_warps(SchedulerPolicy::Gto);
+        let mut buf = Vec::new();
+        for s in 0..4 {
+            sm.warp_candidates(s, &mut buf);
+            assert_eq!(buf, [s, s + 4, s + 8, s + 12], "scheduler {s}");
+        }
+    }
+
+    #[test]
+    fn lrr_rotates_past_the_last_warp_served_each_cycle() {
+        let mut sm = sm_with_16_warps(SchedulerPolicy::Lrr);
+        let mut buf = Vec::new();
+        let mut firsts = Vec::new();
+        for _ in 0..5 {
+            sm.warp_candidates(1, &mut buf);
+            firsts.push(buf[0]);
+        }
+        assert_eq!(firsts, [1, 5, 9, 13, 1], "round robin over slots 1, 5, 9, 13");
+        assert_eq!(sm.lrr_next[1], 2);
+        sm.warp_candidates(1, &mut buf);
+        assert_eq!(buf, [5, 9, 13, 1], "rotated to start at the pointer");
+
+        // The pointer skips slots that are not candidates this cycle.
+        warp(&mut sm, 9).ibuffer.clear();
+        sm.warp_candidates(1, &mut buf);
+        assert_eq!(buf, [13, 1, 5]);
+        assert_eq!(sm.lrr_next[1], 14);
+
+        // An idle scheduler leaves its pointer alone.
+        for slot in [1, 5, 13] {
+            warp(&mut sm, slot).ibuffer.clear();
+        }
+        sm.warp_candidates(1, &mut buf);
+        assert!(buf.is_empty());
+        assert_eq!(sm.lrr_next[1], 14);
     }
 }

@@ -2,7 +2,8 @@
 //! the SIMT reconvergence stack, instruction buffer and scoreboard.
 
 use simt_isa::{Instruction, Pred, Reg};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A 32-bit lane mask.
 pub type LaneMask = u32;
@@ -41,8 +42,9 @@ pub enum IBufEntry {
         pc: usize,
         /// Destination register.
         dst: Reg,
-        /// The leader's 32-lane result.
-        values: Box<[u32]>,
+        /// The leader's 32-lane result, shared with the TB's snapshot and
+        /// every other follower.
+        values: Arc<[u32]>,
     },
     /// A DAC-IDEAL affine-stream instruction: executed functionally at its
     /// program-order position with zero timing cost.
@@ -99,8 +101,9 @@ pub struct Warp {
     /// (outstanding miss).
     pub fetch_ready_at: u64,
     /// Dynamic occurrence count per skippable PC (DARSIE/DAC instance
-    /// numbering: the paper's per-register write counts).
-    pub pass_counts: HashMap<usize, u32>,
+    /// numbering: the paper's per-register write counts), indexed by PC
+    /// and grown on demand; PCs past the end have count zero.
+    pub pass_counts: Vec<u32>,
     /// Fetch stalls behind an unissued branch or exit (the frontier would
     /// be speculative otherwise).
     pub fetch_blocked: bool,
@@ -141,7 +144,7 @@ impl Warp {
             state: WarpState::Ready,
             age,
             fetch_ready_at: 0,
-            pass_counts: HashMap::new(),
+            pass_counts: Vec::new(),
             fetch_blocked: false,
             bb_pending: false,
             leader_stall: 0,
@@ -182,17 +185,12 @@ impl Warp {
 
     /// PC of the *next unfetched* instruction: continues after whatever is
     /// already buffered. The fetch stage and the DARSIE skipper work at
-    /// this frontier, which runs ahead of the issue-stage `next_pc`.
+    /// this frontier, which runs ahead of the issue-stage `next_pc`. Every
+    /// buffered entry, real or zero-width, stands for one sequential
+    /// instruction.
     #[must_use]
     pub fn fetch_pc(&self) -> Option<usize> {
-        let top = self.stack.last()?;
-        let buffered = self.ibuffer.iter().filter(|e| matches!(e, IBufEntry::Instr { .. })).count()
-            + self
-                .ibuffer
-                .iter()
-                .filter(|e| matches!(e, IBufEntry::SkipMarker { .. } | IBufEntry::Ghost { .. }))
-                .count();
-        Some(top.next_pc + buffered)
+        Some(self.stack.last()?.next_pc + self.ibuffer.len())
     }
 
     /// Number of real (fetched-instruction) entries in the I-buffer.
@@ -284,11 +282,17 @@ impl Warp {
         self.regs[r.index() * self.warp_size as usize + lane as usize] = v;
     }
 
+    /// The whole 32-lane vector of a register, borrowed.
+    #[must_use]
+    pub fn reg_lanes(&self, r: Reg) -> &[u32] {
+        let w = self.warp_size as usize;
+        &self.regs[r.index() * w..(r.index() + 1) * w]
+    }
+
     /// Reads the whole 32-lane vector of a register.
     #[must_use]
     pub fn reg_vector(&self, r: Reg) -> Vec<u32> {
-        let w = self.warp_size as usize;
-        self.regs[r.index() * w..(r.index() + 1) * w].to_vec()
+        self.reg_lanes(r).to_vec()
     }
 
     /// Overwrites the whole vector of a register.
@@ -356,30 +360,32 @@ impl Warp {
                 return false;
             }
         }
-        let mut preds_needed = instr.guard.map(|g| g.pred).into_iter().collect::<Vec<_>>();
-        if let Some(p) = instr.pdst {
-            preds_needed.push(p);
-        }
-        if let simt_isa::Op::Sel(p) = instr.op {
-            preds_needed.push(p);
-        }
-        preds_needed.iter().all(|p| self.pending_preds & (1 << p.index()) == 0)
+        let sel = match instr.op {
+            simt_isa::Op::Sel(p) => Some(p),
+            _ => None,
+        };
+        [instr.guard.map(|g| g.pred), instr.pdst, sel]
+            .into_iter()
+            .flatten()
+            .all(|p| self.pending_preds & (1 << p.index()) == 0)
     }
 
     /// Dynamic occurrences of `pc` this warp has completed (issued or
     /// applied as a skip marker), in program order.
     #[must_use]
     pub fn passes(&self, pc: usize) -> u32 {
-        self.pass_counts.get(&pc).copied().unwrap_or(0)
+        self.pass_counts.get(pc).copied().unwrap_or(0)
     }
 
     /// Records one completed occurrence of `pc` (called at issue of the
     /// real instruction or at skip-marker application — *all* paths, so
     /// the count never drifts).
     pub fn record_pass(&mut self, pc: usize) -> u32 {
-        let c = self.pass_counts.entry(pc).or_insert(0);
-        *c += 1;
-        *c
+        if pc >= self.pass_counts.len() {
+            self.pass_counts.resize(pc + 1, 0);
+        }
+        self.pass_counts[pc] += 1;
+        self.pass_counts[pc]
     }
 
     /// The occurrence number the *fetch frontier* is about to produce for
@@ -561,10 +567,56 @@ mod tests {
         w.ibuffer.push_back(IBufEntry::SkipMarker {
             pc: 1,
             dst: Reg(0),
-            values: vec![0; 32].into_boxed_slice(),
+            values: vec![0; 32].into(),
         });
         assert_eq!(w.fetch_pc(), Some(2));
-        assert_eq!(w.ibuffer_instrs(), 1, "markers do not occupy real slots");
+        w.ibuffer.push_back(IBufEntry::Ghost { pc: 2 });
+        w.ibuffer.push_back(IBufEntry::Instr { pc: 3, leader: Some(1) });
+        assert_eq!(w.fetch_pc(), Some(4), "markers and ghosts stand for one instruction each");
+        assert_eq!(w.ibuffer_instrs(), 2, "markers and ghosts do not occupy real slots");
         assert_eq!(w.next_pc(), Some(0), "issue PC unchanged");
+        // Issue consumes from the front; the frontier stays put.
+        w.ibuffer.pop_front();
+        w.advance();
+        assert_eq!(w.fetch_pc(), Some(4));
+        // A warp with no executing path has no frontier.
+        w.stack.clear();
+        assert_eq!(w.fetch_pc(), None);
+    }
+
+    #[test]
+    fn fetch_pc_follows_the_executing_path() {
+        let mut w = warp();
+        w.advance();
+        w.take_branch(0, 10, 0x0000_FFFF, 20);
+        w.ibuffer.push_back(IBufEntry::Ghost { pc: 10 });
+        assert_eq!(w.fetch_pc(), Some(11), "taken path on top of the stack");
+    }
+
+    #[test]
+    fn scoreboard_predicate_hazards_are_independent() {
+        let mut w = warp();
+        // Guarded setp with a `sel`-free body: guard p1, writes p2.
+        let setp = Instruction::new(
+            Op::Setp(CmpOp::Lt),
+            None,
+            Some(Pred(2)),
+            vec![Reg(0).into(), Operand::Imm(4)],
+        )
+        .with_guard(Guard::if_true(Pred(1)));
+        let sel = Instruction::new(
+            Op::Sel(Pred(3)),
+            Some(Reg(4)),
+            None,
+            vec![Reg(0).into(), Reg(1).into()],
+        );
+        for p in 0..simt_isa::reg::NUM_PREDS {
+            w.mark_pending_pred(Pred(p));
+            let blocks_setp = p == 1 || p == 2;
+            assert_eq!(!w.scoreboard_ready(&setp), blocks_setp, "setp with p{p} pending");
+            assert_eq!(!w.scoreboard_ready(&sel), p == 3, "sel with p{p} pending");
+            w.clear_pending_pred(Pred(p));
+        }
+        assert!(w.scoreboard_ready(&setp) && w.scoreboard_ready(&sel));
     }
 }

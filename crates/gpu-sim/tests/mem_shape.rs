@@ -50,7 +50,7 @@ proptest! {
     fn coalesced_lines_match_the_distinct_line_set(
         addrs in prop::collection::vec(lane_addr(), 0..=32),
     ) {
-        prop_assert_eq!(coalesce_lines(addrs.iter().copied()), reference_lines(&addrs));
+        prop_assert_eq!(coalesce_lines(addrs.iter().copied()).to_vec(), reference_lines(&addrs));
     }
 }
 
