@@ -1250,6 +1250,9 @@ fn profile_command(args: &[String]) {
     let mut mf = RunManifest::new("profile", args);
 
     let mut violations = 0usize;
+    // Host-side issue work over every run: attempts to issue a warp's
+    // I-buffer head, and the attempts among them that stalled.
+    let (mut attempts, mut stalled) = (0u64, 0u64);
     let mut records: Vec<String> = Vec::new();
     for w in &selected {
         let mut tech_records: Vec<String> = Vec::new();
@@ -1268,6 +1271,9 @@ fn profile_command(args: &[String]) {
             });
             mf.digest_root(&format!("{}/{}", w.abbr, technique.label()), r.stats.digest_root);
             let prof = r.profile.as_ref().expect("profiling was enabled");
+            let (a, s) = prof.attempts();
+            attempts += a;
+            stalled += s;
             let (record, ok) = profile_record_json(&technique, &r, prof);
             if !ok {
                 violations += 1;
@@ -1345,6 +1351,8 @@ fn profile_command(args: &[String]) {
     }
     mf.count("workloads", selected.len() as u64);
     mf.count("identity_violations", violations as u64);
+    mf.count("issue_attempts", attempts);
+    mf.count("stalled_attempts", stalled);
     finish_run(&mut mf, manifest.as_deref(), i32::from(violations > 0));
 }
 

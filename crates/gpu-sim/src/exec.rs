@@ -7,7 +7,7 @@
 
 use crate::mem::GlobalMemory;
 use crate::warp::{LaneMask, Warp};
-use simt_isa::{AtomOp, CmpOp, Dim3, Instruction, MemSpace, Op, SpecialReg, Value};
+use simt_isa::{AtomOp, CmpOp, Dim3, Instruction, MemSpace, Op, Operand, SpecialReg, Value};
 
 /// Launch-wide context a warp executes against.
 #[derive(Debug)]
@@ -95,10 +95,71 @@ fn shared_word(addr: u64, shared_len: usize, what: &str) -> usize {
     w
 }
 
-fn operand(warp: &Warp, o: simt_isa::Operand, lane: u32) -> u32 {
+fn operand(warp: &Warp, o: Operand, lane: u32) -> u32 {
     match o {
-        simt_isa::Operand::Reg(r) => warp.reg(r, lane),
-        simt_isa::Operand::Imm(v) => v,
+        Operand::Reg(r) => warp.reg(r, lane),
+        Operand::Imm(v) => v,
+    }
+}
+
+/// Widest warp a [`LaneMask`] can describe.
+const MAX_LANES: usize = 32;
+
+/// All lanes of source operand `o`: the register's lane vector, or the
+/// immediate (zero for an absent operand, as [`alu`] sees it) splatted
+/// into `splat`.
+fn operand_lanes<'a>(
+    warp: &'a Warp,
+    o: Option<&Operand>,
+    splat: &'a mut [u32; MAX_LANES],
+) -> &'a [u32] {
+    let ws = warp.warp_size() as usize;
+    match o {
+        Some(&Operand::Reg(r)) => warp.reg_lanes(r),
+        Some(&Operand::Imm(v)) => {
+            splat[..ws].fill(v);
+            &splat[..ws]
+        }
+        None => &splat[..ws],
+    }
+}
+
+/// `out[i] = alu(op, a[i], b[i], c[i])` over every lane, with the opcode
+/// dispatched once: each arm below is a loop specialised to one op, and
+/// [`alu_op`] stays the only definition of what the op computes.
+///
+/// The commutative float ops (`fadd`, `fmul`, `ffma`, `fmin`, `fmax`) are
+/// not specialised. Which NaN operand they return (and, for min and max,
+/// which signed zero) is left open by IEEE 754 and Rust, and a vectorised
+/// loop may swap their operands. So they run lane by lane through the one
+/// out-of-line copy of [`alu`], whose bits the parity tests pin.
+fn alu_lanes(op: Op, a: &[u32], b: &[u32], c: &[u32], out: &mut [u32]) {
+    #[inline(always)]
+    fn each(out: &mut [u32], a: &[u32], b: &[u32], c: &[u32], f: impl Fn(u32, u32, u32) -> u32) {
+        for (((o, &a), &b), &c) in out.iter_mut().zip(a).zip(b).zip(c) {
+            *o = f(a, b, c);
+        }
+    }
+    macro_rules! specialise {
+        ($($op:ident),*) => {
+            match op {
+                $(Op::$op => each(out, a, b, c, |a, b, c| alu_op(Op::$op, a, b, c)),)*
+                _ => each(out, a, b, c, |a, b, c| alu(op, a, b, c)),
+            }
+        };
+    }
+    specialise!(
+        IAdd, ISub, IMul, IMulHi, IMad, IMin, IMax, Shl, Shr, Sra, And, Or, Xor, Not, FSub, FDiv,
+        FRcp, FSqrt, FExp2, FLog2, Mov, I2F, F2I
+    );
+}
+
+/// Writes `values` into the lanes of `dst` that `mask` selects.
+fn merge_lanes(dst: &mut [u32], values: &[u32], mask: LaneMask) {
+    for (lane, (d, &v)) in dst.iter_mut().zip(values).enumerate() {
+        if mask & (1 << lane) != 0 {
+            *d = v;
+        }
     }
 }
 
@@ -106,8 +167,17 @@ fn operand(warp: &Warp, o: simt_isa::Operand, lane: u32) -> u32 {
 /// validator's constant folder (`simt_compiler::term::fold_alu`) can be
 /// parity-tested against the executor it models, and so counterexample
 /// replay tooling can evaluate single operations outside a warp context.
+/// Never inlined, so every caller computes with the same machine code.
 #[must_use]
+#[inline(never)]
 pub fn alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
+    alu_op(op, a, b, c)
+}
+
+/// The definition behind [`alu`], inlined into the lane loops that
+/// `alu_lanes` specialises.
+#[inline(always)]
+fn alu_op(op: Op, a: u32, b: u32, c: u32) -> u32 {
     let (ai, bi) = (a as i32, b as i32);
     let (af, bf, cf) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
     match op {
@@ -176,14 +246,12 @@ pub fn execute(
     let active = warp.active_mask();
     let ws = warp.warp_size();
     // Lanes that exist, are on the active path, and pass the guard.
-    let mut eff_mask: LaneMask = 0;
-    for lane in 0..ws {
-        if active & (1 << lane) == 0 {
-            continue;
-        }
-        let g = instr.guard.is_none_or(|g| g.accepts(warp.pred(g.pred, lane)));
-        if g {
-            eff_mask |= 1 << lane;
+    let mut eff_mask: LaneMask = active & (u32::MAX >> (MAX_LANES as u32 - ws));
+    if let Some(g) = instr.guard {
+        for lane in 0..ws {
+            if !g.accepts(warp.pred(g.pred, lane)) {
+                eff_mask &= !(1 << lane);
+            }
         }
     }
 
@@ -285,18 +353,20 @@ pub fn execute(
             }
             ExecEffect::Memory { space: MemSpace::Global, is_store: true, is_atomic: true }
         }
-        // Everything else is a lane-wise ALU op.
+        // Everything else is a lane-wise ALU op. Every lane is computed
+        // (no ALU op can fault) and only the executing lanes are written,
+        // so a destination that is also a source reads its old value.
         _ => {
             let d = instr.dst.expect("ALU op has a dst");
-            for lane in 0..ws {
-                if eff_mask & (1 << lane) == 0 {
-                    continue;
-                }
-                let a = operand(warp, instr.srcs[0], lane);
-                let b = instr.srcs.get(1).map_or(0, |&o| operand(warp, o, lane));
-                let c = instr.srcs.get(2).map_or(0, |&o| operand(warp, o, lane));
-                warp.set_reg(d, lane, alu(instr.op, a, b, c));
-            }
+            let mut out = [0u32; MAX_LANES];
+            let out = &mut out[..ws as usize];
+            let mut splats = [[0u32; MAX_LANES]; 3];
+            let [sa, sb, sc] = &mut splats;
+            let a = operand_lanes(warp, instr.srcs.first(), sa);
+            let b = operand_lanes(warp, instr.srcs.get(1), sb);
+            let c = operand_lanes(warp, instr.srcs.get(2), sc);
+            alu_lanes(instr.op, a, b, c, out);
+            merge_lanes(warp.reg_lanes_mut(d), out, eff_mask);
             ExecEffect::None
         }
     }

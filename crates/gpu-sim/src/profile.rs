@@ -248,6 +248,12 @@ pub struct SmProfile {
     pub samples: Vec<OccupancySample>,
     /// Samples dropped after the bound.
     pub samples_dropped: u64,
+    /// Times the issue stage tried to issue a warp's I-buffer head (host
+    /// simulator work, not a hardware event).
+    pub issue_attempts: u64,
+    /// Attempts among those that stalled. A warp parked on a scoreboard
+    /// stall is blamed without an attempt.
+    pub stalled_attempts: u64,
 }
 
 impl SmProfile {
@@ -320,6 +326,12 @@ impl SimProfile {
             h.merge(&sm.leader_latency);
         }
         h
+    }
+
+    /// Issue attempts and stalled attempts summed over all SMs.
+    #[must_use]
+    pub fn attempts(&self) -> (u64, u64) {
+        self.sms.iter().fold((0, 0), |(a, s), sm| (a + sm.issue_attempts, s + sm.stalled_attempts))
     }
 
     /// Per-PC profiles merged over all SMs.

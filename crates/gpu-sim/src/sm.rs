@@ -80,7 +80,11 @@ pub struct Sm {
     lsu_busy: u64,
     fetch_rr: usize,
     gto_last: Vec<Option<usize>>,
+    /// Per scheduler, its resident warp slots oldest first: `launch_tb`
+    /// appends (ages only grow) and warp exit removes, so GTO never sorts.
+    gto_order: Vec<Vec<usize>>,
     lrr_next: Vec<usize>,
+    blocked: BlockedWarps,
     pc_coalescer: PcCoalescer,
     uv_reuse: ReuseBuffer,
     used_regs: u32,
@@ -129,7 +133,15 @@ impl Sm {
             lsu_busy: 0,
             fetch_rr: 0,
             gto_last: vec![None; cfg.schedulers_per_sm],
+            gto_order: (0..cfg.schedulers_per_sm)
+                .map(|_| {
+                    Vec::with_capacity(
+                        (cfg.max_warps_per_sm as usize).div_ceil(cfg.schedulers_per_sm),
+                    )
+                })
+                .collect(),
             lrr_next: vec![0; cfg.schedulers_per_sm],
+            blocked: BlockedWarps::default(),
             pc_coalescer: PcCoalescer::new(dc.skip_table_ports),
             uv_reuse: ReuseBuffer::new(64),
             used_regs: 0,
@@ -293,17 +305,22 @@ impl Sm {
     ///
     /// Keyed state folds in ascending key order: the per-TB and per-warp
     /// maps are ordered by construction, and only the skip table (kept in
-    /// hardware slot order) is sorted here. Per-cycle transients that never
-    /// survive a cycle boundary (the PC coalescer's port grants, the
-    /// scheduler scratch) and pure outputs (stats, events, profile) are
-    /// deliberately excluded.
+    /// hardware slot order) is visited in key order here. Per-cycle
+    /// transients that never survive a cycle boundary (the PC coalescer's
+    /// port grants, the scheduler scratch), host-side caches derived from
+    /// the digested state (parked-warp marks, the schedulers' age order,
+    /// the blocked-warp counts) and pure outputs (stats, events, profile)
+    /// are deliberately excluded.
     #[must_use]
     pub(crate) fn digest_epoch(&self, components: bool) -> (u64, Option<ComponentDigests>) {
         // Scoreboard: pending register/predicate writes of every warp.
         let mut scoreboard = FNV_OFFSET;
         // Warp-visible state, plus per-warp digests for warp naming.
         let mut warp_state = FNV_OFFSET;
-        let mut per_warp = Vec::new();
+        // Fine mode hands the per-warp digests to the chain entry, which
+        // keeps them: allocate the vector once, at its final size.
+        let resident = if components { self.gto_order.iter().map(Vec::len).sum() } else { 0 };
+        let mut per_warp = Vec::with_capacity(resident);
         for (slot, w) in self.warps.iter().enumerate() {
             let Some(w) = w else { continue };
             fold(&mut scoreboard, slot as u64);
@@ -330,9 +347,17 @@ impl Sm {
             let Some(tb) = tb else { continue };
             fold(&mut skip_table, slot as u64);
             fold(&mut skip_table, u64::from(tb.majority.mask()));
-            let mut entries: Vec<_> = tb.skip_table.iter().collect();
-            entries.sort_unstable_by_key(|e| (e.pc, e.instance));
-            for e in entries {
+            // Entries fold in ascending (unique) `(pc, instance)` order. A
+            // bank holds a handful of entries, so a repeated minimum scan
+            // orders them without a sort buffer.
+            let mut folded = None;
+            while let Some(e) = tb
+                .skip_table
+                .iter()
+                .filter(|e| folded.is_none_or(|key| (e.pc, e.instance) > key))
+                .min_by_key(|e| (e.pc, e.instance))
+            {
+                folded = Some((e.pc, e.instance));
                 fold(&mut skip_table, e.pc as u64);
                 fold(&mut skip_table, u64::from(e.instance));
                 fold(&mut skip_table, u64::from(e.leader));
@@ -486,6 +511,7 @@ impl Sm {
                 warp.pass_counts = vec![0; self.kd.ck.kernel.len()];
             }
             self.warps[slot] = Some(warp);
+            self.gto_order[slot % self.cfg.schedulers_per_sm].push(slot);
             slots.push(slot);
         }
         let mut dc = self.darsie().cloned().unwrap_or_default();
@@ -553,13 +579,8 @@ impl Sm {
     }
 
     fn count_stall_cycles(&mut self) {
-        for w in self.warps.iter().flatten() {
-            match w.state {
-                WarpState::WaitLeader(..) => self.stats.darsie.wait_for_leader_cycles += 1,
-                WarpState::BranchSync(..) => self.stats.darsie.branch_sync_cycles += 1,
-                _ => {}
-            }
-        }
+        self.stats.darsie.wait_for_leader_cycles += self.blocked.wait_leader;
+        self.stats.darsie.branch_sync_cycles += self.blocked.branch_sync;
     }
 
     // ----- writeback ---------------------------------------------------------
@@ -588,6 +609,9 @@ impl Sm {
             if let Some(p) = f.pdst {
                 w.clear_pending_pred(p);
             }
+            if w.parked.is_some() && !w.head_waits_on_scoreboard(&self.kd.ck.kernel.instrs) {
+                w.parked = None;
+            }
             if let Some((pc, instance)) = f.leader {
                 let tb_idx = w.tb;
                 let warp_in_tb = w.warp_in_tb;
@@ -603,7 +627,7 @@ impl Sm {
                 }
                 if let Some(tb) = self.tbs[tb_idx].as_mut() {
                     let released = tb.skip_table.leader_writeback(pc, instance, warp_in_tb, now);
-                    wake(&mut self.warps, &tb.warp_slots, released, |s| {
+                    wake(&mut self.warps, &mut self.blocked, &tb.warp_slots, released, |s| {
                         s == WarpState::WaitLeader(pc, instance)
                     });
                 }
@@ -639,12 +663,27 @@ impl Sm {
             // gets exactly one cause).
             let mut blame: Option<(StallCause, Option<usize>, Option<usize>)> = None;
             for &wslot in &candidates {
+                if let Some(pc) = self.warps[wslot].as_ref().and_then(|w| w.parked) {
+                    // Nothing can clear this warp's scoreboard stall before
+                    // one of its writes retires: blame it, do not retry.
+                    if self.cfg.profile && blame.is_none() {
+                        blame = Some((StallCause::Scoreboard, Some(pc), Some(wslot)));
+                    }
+                    continue;
+                }
                 let mut issued = 0;
                 let mut stop: Option<(StallCause, Option<usize>)> = None;
                 let mut control = false;
                 while issued < width {
-                    match self.try_issue_head(kd, now, wslot, s, global, l2, dram, &mut banks_used)
-                    {
+                    let outcome =
+                        self.try_issue_head(kd, now, wslot, s, global, l2, dram, &mut banks_used);
+                    if self.cfg.profile {
+                        self.profile.issue_attempts += 1;
+                        if let IssueOutcome::Stall { .. } = outcome {
+                            self.profile.stalled_attempts += 1;
+                        }
+                    }
+                    match outcome {
                         IssueOutcome::Issued => {
                             issued += 1;
                             issued_any = true;
@@ -657,6 +696,15 @@ impl Sm {
                             break;
                         }
                         IssueOutcome::Stall { cause, pc } => {
+                            // Only a scoreboard stall is parked: unit and
+                            // LSU stalls depend on what issues this cycle,
+                            // and the SILICON-SYNC gate changes state when
+                            // it is called.
+                            if cause == StallCause::Scoreboard {
+                                if let Some(w) = self.warps[wslot].as_mut() {
+                                    w.parked = pc;
+                                }
+                            }
                             stop = Some((cause, pc));
                             break;
                         }
@@ -776,21 +824,16 @@ impl Sm {
     /// `s + schedulers_per_sm`, ..., and only those are visited.
     fn warp_candidates(&mut self, s: usize, candidates: &mut Vec<usize>) {
         candidates.clear();
-        for slot in (s..self.warps.len()).step_by(self.cfg.schedulers_per_sm) {
-            if self.warps[slot].as_ref().is_some_and(|w| {
+        let eligible = |slot: &usize| {
+            self.warps[*slot].as_ref().is_some_and(|w| {
                 matches!(w.state, WarpState::Ready | WarpState::WaitLeader(..))
                     && !w.ibuffer.is_empty()
-            }) {
-                candidates.push(slot);
-            }
-        }
+            })
+        };
         match self.cfg.scheduler {
             SchedulerPolicy::Gto => {
-                // Oldest first (ages are unique); the greedy warp (last
-                // issued) leads.
-                candidates.sort_unstable_by_key(|&slot| {
-                    self.warps[slot].as_ref().map_or(u64::MAX, |w| w.age)
-                });
+                // Oldest first; the greedy warp (last issued) leads.
+                candidates.extend(self.gto_order[s].iter().copied().filter(eligible));
                 if let Some(last) = self.gto_last[s] {
                     if let Some(pos) = candidates.iter().position(|&c| c == last) {
                         candidates[..=pos].rotate_right(1);
@@ -800,6 +843,9 @@ impl Sm {
             SchedulerPolicy::Lrr => {
                 // Ascending slots, rotated to start at the round-robin
                 // pointer.
+                candidates.extend(
+                    (s..self.warps.len()).step_by(self.cfg.schedulers_per_sm).filter(eligible),
+                );
                 let start = self.lrr_next[s];
                 let split = candidates.iter().position(|&c| c >= start).unwrap_or(0);
                 candidates.rotate_left(split);
@@ -830,11 +876,7 @@ impl Sm {
             let Some(w) = self.warps[wslot].as_mut() else {
                 return IssueOutcome::Stall { cause: StallCause::IdleNoWarp, pc: None };
             };
-            let front_pc = w.ibuffer.front().map(|e| match e {
-                IBufEntry::Instr { pc, .. }
-                | IBufEntry::SkipMarker { pc, .. }
-                | IBufEntry::Ghost { pc } => *pc,
-            });
+            let front_pc = w.ibuffer.front().map(IBufEntry::pc);
             if let (Some(fpc), Some(npc)) = (front_pc, w.next_pc()) {
                 if fpc != npc {
                     w.ibuffer.clear();
@@ -1210,21 +1252,25 @@ impl Sm {
                         self.barrier_marks += 1;
                         // Everyone (including this warp) proceeds.
                         let slots = &self.tbs[tb_idx].as_ref().expect("TB").warp_slots;
-                        wake(&mut self.warps, slots, mask, |s| s == WarpState::AtBarrier);
+                        wake(&mut self.warps, &mut self.blocked, slots, mask, |s| {
+                            s == WarpState::AtBarrier
+                        });
                     }
                     None => {
                         let w = self.warps[wslot].as_mut().expect("warp exists");
-                        w.state = WarpState::AtBarrier;
+                        self.blocked.set(w, WarpState::AtBarrier);
                     }
                 }
                 IssueOutcome::IssuedControl { tb_done: 0 }
             }
             ExecEffect::Exit => {
                 let w = self.warps[wslot].as_mut().expect("warp exists");
+                let before = w.state;
                 let done = w.exit_path();
                 w.reconverge();
                 let mut tb_done = 0;
                 if done {
+                    self.blocked.leave(before);
                     w.fetch_blocked = false;
                     self.trace(wslot, pc, EventKind::WarpDone);
                     let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
@@ -1235,7 +1281,7 @@ impl Sm {
                     } else {
                         self.after_majority_change(tb_idx);
                     }
-                    self.warps[wslot] = None;
+                    self.vacate(wslot);
                 }
                 IssueOutcome::IssuedControl { tb_done }
             }
@@ -1322,7 +1368,7 @@ impl Sm {
                         Some(_) => self.apply_branch_sync_resolution(tb_idx, resolved),
                         None => {
                             let w = self.warps[wslot].as_mut().expect("warp exists");
-                            w.state = WarpState::BranchSync(pc);
+                            self.blocked.set(w, WarpState::BranchSync(pc));
                             self.trace(wslot, pc, EventKind::BranchSync);
                         }
                     }
@@ -1340,7 +1386,9 @@ impl Sm {
         let Some((released, evicted)) = resolved else { return };
         self.stats.darsie.majority_evictions += u64::from(evicted.count_ones());
         let slots = &self.tbs[tb_idx].as_ref().expect("TB exists").warp_slots;
-        wake(&mut self.warps, slots, released, |s| matches!(s, WarpState::BranchSync(_)));
+        wake(&mut self.warps, &mut self.blocked, slots, released, |s| {
+            matches!(s, WarpState::BranchSync(_))
+        });
     }
 
     /// Re-evaluates pending synchronizations after the majority mask or
@@ -1358,7 +1406,9 @@ impl Sm {
         let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
         if let Some(mask) = tb.arrive_barrier_completion() {
             self.barrier_marks += 1;
-            wake(&mut self.warps, &tb.warp_slots, mask, |s| s == WarpState::AtBarrier);
+            wake(&mut self.warps, &mut self.blocked, &tb.warp_slots, mask, |s| {
+                s == WarpState::AtBarrier
+            });
         }
         let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
         let must = tb.must_pass_mask();
@@ -1471,10 +1521,17 @@ impl Sm {
             if n > 0 {
                 tb.gc_versions();
             }
-            wake(&mut self.warps, &tb.warp_slots, released, |s| {
+            wake(&mut self.warps, &mut self.blocked, &tb.warp_slots, released, |s| {
                 matches!(s, WarpState::WaitLeader(..))
             });
         }
+    }
+
+    /// Frees warp slot `wslot` after its warp exited.
+    fn vacate(&mut self, wslot: usize) {
+        self.warps[wslot] = None;
+        let order = &mut self.gto_order[wslot % self.cfg.schedulers_per_sm];
+        order.remove(order.iter().position(|&s| s == wslot).expect("resident warps are ordered"));
     }
 
     fn free_tb(&mut self, tb_idx: usize) {
@@ -1558,11 +1615,7 @@ impl Sm {
         // path, and the skipper must not extend a stale frontier.
         {
             let w = self.warps[wslot].as_mut().expect("warp exists");
-            let front_pc = w.ibuffer.front().map(|e| match e {
-                IBufEntry::Instr { pc, .. }
-                | IBufEntry::SkipMarker { pc, .. }
-                | IBufEntry::Ghost { pc } => *pc,
-            });
+            let front_pc = w.ibuffer.front().map(IBufEntry::pc);
             if let (Some(fpc), Some(npc)) = (front_pc, w.next_pc()) {
                 if fpc != npc {
                     debug_assert!(
@@ -1862,7 +1915,7 @@ impl Sm {
                     let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
                     tb.skip_table.record_wait(pc, instance, warp_in_tb, now);
                     let w = self.warps[wslot].as_mut().expect("warp exists");
-                    w.state = WarpState::WaitLeader(pc, instance);
+                    self.blocked.set(w, WarpState::WaitLeader(pc, instance));
                     self.trace(wslot, pc, EventKind::WaitLeader);
                     return false;
                 }
@@ -1885,6 +1938,7 @@ enum IssueOutcome {
 /// set in `mask` and that are parked in a state `parked` accepts.
 fn wake(
     warps: &mut [Option<Warp>],
+    blocked: &mut BlockedWarps,
     slots: &[usize],
     mask: WarpMask,
     parked: impl Fn(WarpState) -> bool,
@@ -1893,9 +1947,44 @@ fn wake(
         if mask & (1 << i) != 0 {
             if let Some(w) = warps[slot].as_mut() {
                 if parked(w.state) {
-                    w.state = WarpState::Ready;
+                    blocked.set(w, WarpState::Ready);
                 }
             }
+        }
+    }
+}
+
+/// Resident warps in each DARSIE blocking state, kept at every state
+/// transition so the per-cycle stall counters cost O(1) rather than a walk
+/// over every warp slot.
+#[derive(Debug, Default)]
+struct BlockedWarps {
+    wait_leader: u64,
+    branch_sync: u64,
+}
+
+impl BlockedWarps {
+    fn counter(&mut self, s: WarpState) -> Option<&mut u64> {
+        match s {
+            WarpState::WaitLeader(..) => Some(&mut self.wait_leader),
+            WarpState::BranchSync(_) => Some(&mut self.branch_sync),
+            _ => None,
+        }
+    }
+
+    /// Moves `w` to `state`.
+    fn set(&mut self, w: &mut Warp, state: WarpState) {
+        self.leave(w.state);
+        if let Some(n) = self.counter(state) {
+            *n += 1;
+        }
+        w.state = state;
+    }
+
+    /// A warp in `state` stopped being counted (it left the SM).
+    fn leave(&mut self, state: WarpState) {
+        if let Some(n) = self.counter(state) {
+            *n -= 1;
         }
     }
 }
@@ -1903,7 +1992,7 @@ fn wake(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simt_isa::{KernelBuilder, SpecialReg};
+    use simt_isa::{CmpOp, Guard, KernelBuilder, MemSpace, SpecialReg, Value};
 
     /// An SM of the Pascal configuration (4 schedulers) holding one TB of
     /// 16 warps in slots 0..16, every warp with an instruction buffered.
@@ -1912,14 +2001,20 @@ mod tests {
         let tid = b.special(SpecialReg::TidX);
         let _ = b.iadd(tid, 1u32);
         let ck = simt_compiler::compile(b.finish());
-        let launch = LaunchConfig::new(1u32, 512u32);
+        let launch = LaunchConfig::new(2u32, 512u32);
         let cfg = GpuConfig { scheduler, ..GpuConfig::pascal_gtx1080ti() };
         let mut sm = Sm::new(0, &cfg, Technique::Base, Arc::new(KernelData::new(ck, launch)));
         sm.launch_tb(Dim3::three_d(0, 0, 0));
-        for w in sm.warps.iter_mut().flatten() {
-            w.ibuffer.push_back(IBufEntry::Instr { pc: 0, leader: None });
-        }
+        buffer_an_instruction(&mut sm);
         sm
+    }
+
+    fn buffer_an_instruction(sm: &mut Sm) {
+        for w in sm.warps.iter_mut().flatten() {
+            if w.ibuffer.is_empty() {
+                w.ibuffer.push_back(IBufEntry::Instr { pc: 0, leader: None });
+            }
+        }
     }
 
     fn warp(sm: &mut Sm, slot: usize) -> &mut Warp {
@@ -1929,33 +2024,43 @@ mod tests {
     #[test]
     fn gto_puts_the_greedy_warp_first_then_the_oldest() {
         let mut sm = sm_with_16_warps(SchedulerPolicy::Gto);
-        // Scheduler 0 owns slots 0, 4, 8 and 12; make age disagree with
-        // slot order.
-        for (slot, age) in [(0, 30), (4, 10), (8, 20), (12, 40)] {
-            warp(&mut sm, slot).age = age;
-        }
+        // Scheduler 0 owns slots 0, 4, 8, ... The warps in slots 0 and 4
+        // exit, and a second TB refills them with younger warps before
+        // moving on to slots 16..30, so age disagrees with slot order.
+        sm.vacate(0);
+        sm.vacate(4);
+        sm.launch_tb(Dim3::three_d(1, 0, 0));
+        buffer_an_instruction(&mut sm);
+        let by_age = |sm: &Sm, slots: &[usize]| {
+            slots.iter().map(|&s| sm.warps[s].as_ref().expect("resident").age).collect::<Vec<_>>()
+        };
         let mut buf = Vec::new();
         sm.warp_candidates(0, &mut buf);
-        assert_eq!(buf, [4, 8, 0, 12], "no greedy warp yet: oldest first");
+        assert_eq!(buf, [8, 12, 0, 4, 16, 20, 24, 28], "no greedy warp yet: oldest first");
+        assert!(by_age(&sm, &buf).is_sorted());
 
-        sm.gto_last[0] = Some(12);
+        sm.gto_last[0] = Some(4);
         sm.warp_candidates(0, &mut buf);
-        assert_eq!(buf, [12, 4, 8, 0], "the greedy warp leads, the rest stay oldest first");
+        assert_eq!(
+            buf,
+            [4, 8, 12, 0, 16, 20, 24, 28],
+            "the greedy warp leads, the rest stay oldest first"
+        );
 
         // The reused buffer holds only this cycle's candidates: a warp at
         // a barrier or with an empty I-buffer drops out, a warp waiting
         // for a DARSIE leader stays in.
         warp(&mut sm, 8).state = WarpState::AtBarrier;
-        warp(&mut sm, 4).ibuffer.clear();
-        warp(&mut sm, 0).state = WarpState::WaitLeader(0, 1);
+        warp(&mut sm, 0).ibuffer.clear();
+        warp(&mut sm, 12).state = WarpState::WaitLeader(0, 1);
         sm.warp_candidates(0, &mut buf);
-        assert_eq!(buf, [12, 0]);
+        assert_eq!(buf, [4, 12, 16, 20, 24, 28]);
 
         // A greedy warp that is no longer a candidate leaves the order
         // alone.
         sm.gto_last[0] = Some(8);
         sm.warp_candidates(0, &mut buf);
-        assert_eq!(buf, [0, 12]);
+        assert_eq!(buf, [12, 4, 16, 20, 24, 28]);
     }
 
     #[test]
@@ -1995,5 +2100,94 @@ mod tests {
         sm.warp_candidates(1, &mut buf);
         assert!(buf.is_empty());
         assert_eq!(sm.lrr_next[1], 14);
+    }
+
+    /// A 16×16 block loops four times over a row-uniform table load (DARSIE
+    /// followers wait for its leader), a dependent accumulate (scoreboard
+    /// stalls) and a uniform back branch (branch synchronization).
+    fn wait_sync_kernel() -> (CompiledKernel, LaunchConfig, GlobalMemory) {
+        let mut b = KernelBuilder::new("wait_sync");
+        let tx = b.special(SpecialReg::TidX);
+        let ty = b.special(SpecialReg::TidY);
+        let tbl = b.param(0);
+        let out = b.param(1);
+        let k = b.mov(0u32);
+        let acc = b.mov(0u32);
+        b.do_while(|b| {
+            let i = b.iadd(tx, k);
+            let off = b.shl_imm(i, 2);
+            let addr = b.iadd(tbl, off);
+            let v = b.load(MemSpace::Global, addr, 0);
+            let t = b.imul(v, ty);
+            b.iadd_to(acc, acc, t);
+            b.iadd_to(k, k, 1u32);
+            Guard::if_true(b.setp(CmpOp::Lt, k, 4u32))
+        });
+        let lin = b.imad(ty, 16u32, tx);
+        let ooff = b.shl_imm(lin, 2);
+        let oaddr = b.iadd(out, ooff);
+        b.store(MemSpace::Global, oaddr, acc, 0);
+        let mut mem = GlobalMemory::new();
+        let tbl_addr = mem.alloc(32 * 4);
+        let out_addr = mem.alloc(4 * 256 * 4);
+        mem.write_slice_u32(tbl_addr, &(0..32u32).map(|i| 7 * i + 1).collect::<Vec<_>>());
+        let launch = LaunchConfig::new(4u32, (16u32, 16u32))
+            .with_params(vec![Value(tbl_addr as u32), Value(out_addr as u32)]);
+        (simt_compiler::compile(b.finish()), launch, mem)
+    }
+
+    /// Every cycle of a DARSIE launch, the state the issue stage keeps
+    /// incrementally agrees with a walk over the warps: the blocked-state
+    /// counts, each scheduler's age order, and every parked warp's stall.
+    #[test]
+    fn incremental_issue_state_matches_a_full_walk() {
+        let (ck, launch, mut global) = wait_sync_kernel();
+        let cfg = GpuConfig::test_small();
+        let kd = Arc::new(KernelData::new(ck, launch));
+        let mut sm = Sm::new(0, &cfg, Technique::darsie(), Arc::clone(&kd));
+        let mut l2 = TagCache::new(cfg.l2_lines, cfg.l2_assoc);
+        let mut dram = DramModel::new(cfg.dram_bandwidth);
+        let mut next_tb = 0;
+        let (mut saw_wait, mut saw_sync, mut saw_parked) = (false, false, false);
+        for now in 0.. {
+            while next_tb < 4 && sm.can_accept_tb() {
+                sm.launch_tb(Dim3::three_d(next_tb, 0, 0));
+                next_tb += 1;
+            }
+            if next_tb == 4 && !sm.busy() {
+                break;
+            }
+            assert!(now < 100_000, "launch did not drain");
+            sm.cycle(now, &mut global, &mut l2, &mut dram);
+
+            let resident = || sm.warps.iter().flatten();
+            let waiting = resident().filter(|w| matches!(w.state, WarpState::WaitLeader(..)));
+            let syncing = resident().filter(|w| matches!(w.state, WarpState::BranchSync(_)));
+            assert_eq!(sm.blocked.wait_leader, waiting.count() as u64, "cycle {now}");
+            assert_eq!(sm.blocked.branch_sync, syncing.count() as u64, "cycle {now}");
+            saw_wait |= sm.blocked.wait_leader > 0;
+            saw_sync |= sm.blocked.branch_sync > 0;
+
+            for (s, order) in sm.gto_order.iter().enumerate() {
+                let mut by_age: Vec<&Warp> =
+                    resident().filter(|w| w.slot % cfg.schedulers_per_sm == s).collect();
+                by_age.sort_by_key(|w| w.age);
+                let slots: Vec<usize> = by_age.iter().map(|w| w.slot).collect();
+                assert_eq!(*order, slots, "scheduler {s} at cycle {now}");
+            }
+
+            for w in resident() {
+                let Some(pc) = w.parked else { continue };
+                saw_parked = true;
+                let head_pc = w.ibuffer.front().map(IBufEntry::pc);
+                assert_eq!(head_pc, Some(pc), "warp {} parked at cycle {now}", w.slot);
+                assert!(
+                    w.head_waits_on_scoreboard(&kd.ck.kernel.instrs),
+                    "warp {} parked at pc {pc} can issue at cycle {now}",
+                    w.slot
+                );
+            }
+        }
+        assert!(saw_wait && saw_sync && saw_parked, "{saw_wait} {saw_sync} {saw_parked}");
     }
 }

@@ -54,6 +54,18 @@ pub enum IBufEntry {
     },
 }
 
+impl IBufEntry {
+    /// Static instruction index of the entry.
+    #[must_use]
+    pub(crate) fn pc(&self) -> usize {
+        match *self {
+            IBufEntry::Instr { pc, .. }
+            | IBufEntry::SkipMarker { pc, .. }
+            | IBufEntry::Ghost { pc } => pc,
+        }
+    }
+}
+
 /// Scheduling state of a warp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarpState {
@@ -114,6 +126,11 @@ pub struct Warp {
     /// without resources; bounded to avoid livelock on terminal register
     /// versions that stay bound until warp exit.
     pub leader_stall: u32,
+    /// Head PC of a scoreboard stall that stands until this warp's own
+    /// in-flight writes retire. While set, the issue stage blames the
+    /// stall on this PC without retrying the warp; writeback clears it
+    /// once the head no longer waits on a pending write.
+    pub(crate) parked: Option<usize>,
     warp_size: u32,
 }
 
@@ -148,6 +165,7 @@ impl Warp {
             fetch_blocked: false,
             bb_pending: false,
             leader_stall: 0,
+            parked: None,
             warp_size,
         }
     }
@@ -289,6 +307,12 @@ impl Warp {
         &self.regs[r.index() * w..(r.index() + 1) * w]
     }
 
+    /// The whole 32-lane vector of a register, mutably borrowed.
+    pub(crate) fn reg_lanes_mut(&mut self, r: Reg) -> &mut [u32] {
+        let w = self.warp_size as usize;
+        &mut self.regs[r.index() * w..(r.index() + 1) * w]
+    }
+
     /// Reads the whole 32-lane vector of a register.
     #[must_use]
     pub fn reg_vector(&self, r: Reg) -> Vec<u32> {
@@ -343,6 +367,22 @@ impl Warp {
     #[must_use]
     pub fn is_pending(&self, r: Reg) -> bool {
         self.pending_regs[r.index() / 64] & (1 << (r.index() % 64)) != 0
+    }
+
+    /// True when the I-buffer head waits on a write of this warp's that is
+    /// still in flight (`code` is the kernel's instruction list): a skip
+    /// marker whose destination is pending, or an instruction or ghost
+    /// the scoreboard holds back. While the warp does not issue, only its
+    /// own writebacks can make this false.
+    #[must_use]
+    pub(crate) fn head_waits_on_scoreboard(&self, code: &[Instruction]) -> bool {
+        match self.ibuffer.front() {
+            Some(&IBufEntry::SkipMarker { dst, .. }) => self.is_pending(dst),
+            Some(&(IBufEntry::Instr { pc, .. } | IBufEntry::Ghost { pc })) => {
+                !self.scoreboard_ready(&code[pc])
+            }
+            None => false,
+        }
     }
 
     /// True when the scoreboard allows `instr` to issue: no source,
