@@ -13,14 +13,13 @@
 //! before anything is printed.
 
 use darsie_bench::{
-    eval_gpu, fig12_techniques, fig8_techniques, render_fig1, render_fig2, render_table1,
-    render_table2, render_table3, Plan, ALL_ARTIFACTS,
+    all_cores, eval_gpu, fig12_techniques, fig8_techniques, render_fig1, render_fig2,
+    render_table1, render_table2, render_table3, Plan, ALL_ARTIFACTS,
 };
 use gpu_energy::{AreaEstimate, AreaParams};
 use gpu_sim::trace_redundancy;
 use simt_compiler::compile;
 use simt_isa::{KernelBuilder, LaunchConfig, MemSpace, SpecialReg, Value};
-use std::num::NonZeroUsize;
 use workloads::{catalog, Scale};
 
 fn usage() -> ! {
@@ -70,8 +69,7 @@ fn main() {
 
     let cfg = eval_gpu(sms);
     let workloads = catalog(scale);
-    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    let table = Plan::for_artifacts(&artifacts, &workloads, &cfg).run(&workloads, threads);
+    let table = Plan::for_artifacts(&artifacts, &workloads, &cfg).run(&workloads, all_cores());
     let fig8 = || table.report(&workloads, &cfg, &fig8_techniques());
 
     for artifact in artifacts {

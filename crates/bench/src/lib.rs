@@ -7,17 +7,31 @@
 //! runs them on a dynamically claimed thread pool, validating every
 //! result against the CPU reference, and the figures, tables and the
 //! ablation study render from lookups into the resulting [`JobTable`].
-//! The `figures` binary prints every renderer here; host-time measurement
-//! lives in `perfbench/`.
+//! The `figures` binary prints every renderer here, and the simulating
+//! `darsie-sim` reports of [`report`] plan their launches on the same
+//! table; host-time measurement lives in `perfbench/`.
 
+pub mod json;
 pub mod manifest;
+pub mod perfetto;
 pub mod replay;
+pub mod report;
 
 use darsie::DarsieConfig;
 use gpu_energy::EnergyModel;
-use gpu_sim::{trace_redundancy, GpuConfig, SchedulerPolicy, SimStats, Technique};
+use gpu_sim::{
+    trace_redundancy, EventLog, GpuConfig, SchedulerPolicy, SimProfile, SimStats, Technique,
+};
 use simt_verify::parallel_map;
+use std::num::NonZeroUsize;
+use std::time::Instant;
 use workloads::Workload;
+
+/// The worker count for a job table or a report: every available core.
+#[must_use]
+pub fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
 
 /// The evaluation machine: the Table-2 Pascal SM configuration with a
 /// reduced SM count so the scaled-down workloads still fill the GPU (the
@@ -117,12 +131,24 @@ pub enum Job {
     Launch(usize, GpuConfig, Technique),
 }
 
-/// What a [`Job`] produced. A launch keeps only its statistics; its final
-/// memory is dropped once validated.
+/// What a [`Job`] produced.
 #[allow(clippy::large_enum_variant)]
 enum Outcome {
     Trace(LimitRow),
-    Launch(SimStats),
+    Launch(Launched),
+}
+
+/// What a launch leaves for the reports: everything but its final memory,
+/// which is dropped once validated.
+pub struct Launched {
+    /// The run's statistics.
+    pub stats: SimStats,
+    /// The cycle-accounted profile, when [`GpuConfig::profile`] was on.
+    pub profile: Option<SimProfile>,
+    /// The pipeline trace (empty unless [`GpuConfig::trace_events`]).
+    pub events: EventLog,
+    /// Host wall time of the launch and its validation, seconds.
+    pub wall_seconds: f64,
 }
 
 /// The distinct jobs a set of artifacts needs. Two jobs are the same when
@@ -199,7 +225,17 @@ impl Plan {
     pub fn run(self, workloads: &[Workload], threads: usize) -> JobTable {
         let outcomes = parallel_map(&self.jobs, threads, |job| match job {
             Job::Trace(w) => Outcome::Trace(limit_row(&workloads[*w])),
-            Job::Launch(w, cfg, t) => Outcome::Launch(workloads[*w].run(cfg, t.clone()).stats),
+            Job::Launch(w, cfg, t) => {
+                let start = Instant::now();
+                let r = workloads[*w].run(cfg, t.clone());
+                let wall_seconds = start.elapsed().as_secs_f64();
+                Outcome::Launch(Launched {
+                    stats: r.stats,
+                    profile: r.profile,
+                    events: r.events,
+                    wall_seconds,
+                })
+            }
         });
         JobTable { done: self.jobs.into_iter().zip(outcomes).collect() }
     }
@@ -215,16 +251,22 @@ impl JobTable {
         self.done.iter().find(|(j, _)| is(j)).map(|(_, o)| o)
     }
 
-    /// The statistics of the launch of catalog entry `workload` under
-    /// `technique` on `cfg`. Panics when that launch was not planned.
+    /// The launch of catalog entry `workload` under `technique` on `cfg`.
+    /// Panics when that launch was not planned.
     #[must_use]
-    pub fn stats(&self, workload: usize, cfg: &GpuConfig, technique: &Technique) -> &SimStats {
+    pub fn launch(&self, workload: usize, cfg: &GpuConfig, technique: &Technique) -> &Launched {
         match self.find(
             |j| matches!(j, Job::Launch(w, c, t) if *w == workload && c == cfg && t == technique),
         ) {
-            Some(Outcome::Launch(stats)) => stats,
+            Some(Outcome::Launch(launched)) => launched,
             _ => panic!("workload {workload} under {} was not planned", technique.label()),
         }
+    }
+
+    /// The statistics of [`JobTable::launch`].
+    #[must_use]
+    pub fn stats(&self, workload: usize, cfg: &GpuConfig, technique: &Technique) -> &SimStats {
+        &self.launch(workload, cfg, technique).stats
     }
 
     /// The limit-study row of every catalog entry, in catalog order.

@@ -11,10 +11,10 @@
 //! traced to the phase that slowed down or the run whose root drifted.
 //!
 //! Like every other machine-readable document in this workspace the
-//! manifest is hand-rolled JSON (no serde); digest roots and fingerprints
-//! are emitted as `"0x..."` hex strings because they are full 64-bit
-//! values and JSON numbers only carry 53 bits of integer precision.
+//! manifest is written through [`crate::json`]; digest roots and
+//! fingerprints are `"0x..."` hex strings ([`Hex`]).
 
+use crate::json::{object, Fixed, Hex};
 use gpu_sim::digest::{fold, splitmix64, FNV_OFFSET};
 use gpu_sim::GpuConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,20 +81,6 @@ pub fn config_fingerprint(cfg: &GpuConfig) -> u64 {
     splitmix64(h)
 }
 
-/// The shared `--json` document header: every machine-readable document
-/// the CLI prints starts with these fields, so CI consumers can check
-/// they are parsing the document shape they expect. `cfg` is `None` for
-/// subcommands that never construct a GPU (e.g. `lints`).
-#[must_use]
-pub fn json_header(subcommand: &str, cfg: Option<&GpuConfig>) -> String {
-    let fp =
-        cfg.map_or_else(|| "null".to_string(), |c| format!("\"{:#018x}\"", config_fingerprint(c)));
-    format!(
-        "\"tool\":\"{TOOL}\",\"version\":\"{VERSION}\",\"schema_version\":{SCHEMA_VERSION},\
-         \"subcommand\":\"{subcommand}\",\"config_fingerprint\":{fp}"
-    )
-}
-
 /// One timed phase of a run.
 #[derive(Debug, Clone)]
 pub struct PhaseSpan {
@@ -108,24 +94,6 @@ pub struct PhaseSpan {
     pub alloc_bytes: u64,
     /// Allocation calls during the phase.
     pub allocs: u64,
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Structured telemetry for one CLI invocation.
@@ -217,50 +185,36 @@ impl RunManifest {
     /// Renders the manifest as a JSON document (with trailing newline).
     #[must_use]
     pub fn render_json(&self) -> String {
-        let args: Vec<String> =
-            self.args.iter().map(|a| format!("\"{}\"", json_escape(a))).collect();
-        let fp = self
-            .config_fingerprint
-            .map_or_else(|| "null".to_string(), |f| format!("\"{f:#018x}\""));
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"name\":\"{}\",\"start_seconds\":{:.6},\"wall_seconds\":{:.6},\
-                     \"alloc_bytes\":{},\"allocs\":{}}}",
-                    json_escape(&p.name),
-                    p.start_seconds,
-                    p.wall_seconds,
-                    p.alloc_bytes,
-                    p.allocs
-                )
-            })
-            .collect();
-        let counters: Vec<String> =
-            self.counters.iter().map(|(k, v)| format!("\"{}\":{v}", json_escape(k))).collect();
-        let metrics: Vec<String> =
-            self.metrics.iter().map(|(k, v)| format!("\"{}\":{v:.6}", json_escape(k))).collect();
-        let roots: Vec<String> = self
-            .digest_roots
-            .iter()
-            .map(|(k, v)| format!("\"{}\":\"{v:#018x}\"", json_escape(k)))
-            .collect();
-        format!(
-            "{{\"tool\":\"{TOOL}\",\"version\":\"{VERSION}\",\
-             \"schema_version\":{SCHEMA_VERSION},\"subcommand\":\"{}\",\"args\":[{}],\
-             \"config_fingerprint\":{fp},\"wall_seconds\":{:.6},\"exit_code\":{},\
-             \"phases\":[{}],\"counters\":{{{}}},\"metrics\":{{{}}},\
-             \"digest_roots\":{{{}}}}}\n",
-            json_escape(&self.subcommand),
-            args.join(","),
-            self.elapsed_seconds(),
-            self.exit_code,
-            phases.join(","),
-            counters.join(","),
-            metrics.join(","),
-            roots.join(","),
-        )
+        let mut doc = object(|o| {
+            o.field("tool", TOOL).field("version", VERSION);
+            o.field("schema_version", SCHEMA_VERSION).field("subcommand", &self.subcommand);
+            o.field("args", &self.args[..])
+                .field("config_fingerprint", self.config_fingerprint.map(Hex));
+            o.field("wall_seconds", Fixed(self.elapsed_seconds(), 6))
+                .field("exit_code", self.exit_code);
+            o.arr("phases", |a| {
+                for p in &self.phases {
+                    a.obj(|o| {
+                        o.field("name", &p.name).field("start_seconds", Fixed(p.start_seconds, 6));
+                        o.field("wall_seconds", Fixed(p.wall_seconds, 6));
+                        o.field("alloc_bytes", p.alloc_bytes).field("allocs", p.allocs);
+                    });
+                }
+            });
+            o.field("counters", &self.counters);
+            o.obj("metrics", |m| {
+                for (k, v) in &self.metrics {
+                    m.field(k, Fixed(*v, 6));
+                }
+            });
+            o.obj("digest_roots", |m| {
+                for (k, v) in &self.digest_roots {
+                    m.field(k, Hex(*v));
+                }
+            });
+        });
+        doc.push('\n');
+        doc
     }
 
     /// Writes the manifest to `path`.
@@ -300,14 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_escapes_quotes_backslashes_and_controls() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("l1\nl2\tx\r"), "l1\\nl2\\tx\\r");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
     fn manifest_renders_all_sections() {
         let mut m = RunManifest::new("verify", &["--json".to_string()]);
         m.set_config(&GpuConfig::test_small());
@@ -336,16 +282,5 @@ mod tests {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
         assert!(json.ends_with("}\n"));
-    }
-
-    #[test]
-    fn header_has_the_shared_fields() {
-        let h = json_header("verify", Some(&GpuConfig::test_small()));
-        assert!(h.contains("\"tool\":\"darsie-sim\""));
-        assert!(h.contains("\"schema_version\":1"));
-        assert!(h.contains("\"subcommand\":\"verify\""));
-        assert!(h.contains("\"config_fingerprint\":\"0x"));
-        let h2 = json_header("lints", None);
-        assert!(h2.contains("\"config_fingerprint\":null"));
     }
 }

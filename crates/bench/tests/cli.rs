@@ -1002,3 +1002,56 @@ fn manifest_records_digest_roots() {
     assert_hex_digest(roots.get("BIN/A").expect("run A root recorded"));
     assert_eq!(roots.get("BIN/A"), roots.get("BIN/B"), "self-comparison roots match");
 }
+
+/// Every command parses its flags with the one shared parser, so a
+/// repeated single-valued flag is a usage error everywhere: in the bare
+/// benchmark mode and in `replay-diff`'s spec flags the last value used to
+/// win silently.
+#[test]
+fn duplicate_flags_are_usage_errors_in_every_mode() {
+    for args in [
+        &["BIN", "--scale", "test", "--technique", "base", "--technique", "darsie"][..],
+        &["BIN", "--scale", "test", "--scale", "eval"][..],
+        &["replay-diff", "BIN", "--scale", "test", "--technique", "base", "--technique", "uv"][..],
+        &["replay-diff", "BIN", "--scale", "test", "--sms", "1", "--sms", "2"][..],
+        &["lints", "--json", "--json"][..],
+    ] {
+        let (code, out, err) = run(args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2");
+        assert!(err.contains("duplicate"), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?} ran before rejecting its flags:\n{out}");
+    }
+}
+
+/// `replay-diff` takes every technique name the usage text lists, for run
+/// A (`--technique`) and for run B (`--against technique=`), DARSIE
+/// variants included.
+#[test]
+fn replay_diff_accepts_the_darsie_variants() {
+    let (code, out, err) = run(&[
+        "replay-diff",
+        "BIN",
+        "--scale",
+        "test",
+        "--json",
+        "--technique",
+        "darsie-ignore-store",
+    ]);
+    assert_eq!(code, Some(0), "{err}");
+    let doc = Json::parse(out.trim());
+    assert!(doc.get("self_compare").bool());
+    assert!(doc.get("workloads").arr()[0].get("identical").bool());
+    let (code, out, err) = run(&[
+        "replay-diff",
+        "BIN",
+        "--scale",
+        "test",
+        "--json",
+        "--against",
+        "technique=darsie-no-cf-sync",
+    ]);
+    assert_eq!(code, Some(0), "{err}");
+    let doc = Json::parse(out.trim());
+    assert!(!doc.get("self_compare").bool(), "a second spec is a divergence hunt");
+    assert_eq!(doc.get("workloads").arr().len(), 1);
+}

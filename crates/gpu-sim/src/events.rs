@@ -1,8 +1,8 @@
 //! Pipeline event tracing: an optional per-cycle record of what the SMs
 //! did, for debugging kernels and inspecting the DARSIE protocol in
 //! action. Enabled with [`GpuConfig::trace_events`]; events come back in
-//! [`SimResult::events`](crate::SimResult) ordered by cycle, and export to
-//! Chrome trace-event JSON via [`crate::perfetto`].
+//! [`SimResult::events`](crate::SimResult) ordered by cycle; `darsie-sim
+//! profile --perfetto` exports them as Chrome trace-event JSON.
 //!
 //! The log is a bounded ring: it keeps the **last**
 //! [`GpuConfig::trace_capacity`](crate::GpuConfig::trace_capacity) events

@@ -62,7 +62,6 @@ pub mod functional;
 pub mod gpu;
 pub mod mem;
 pub mod occupancy;
-pub mod perfetto;
 pub mod profile;
 pub mod reuse;
 pub mod sm;
@@ -86,7 +85,6 @@ pub use functional::{
 pub use gpu::{Gpu, SimResult};
 pub use mem::GlobalMemory;
 pub use occupancy::{occupancy, Limiter, Occupancy};
-pub use perfetto::{chrome_trace_json, chrome_trace_json_with_phases, TracePhase};
 pub use profile::{
     LatencyHist, OccupancySample, PcProfile, SimProfile, SlotCounts, SmProfile, StallCause,
     WarpSlotProfile,
